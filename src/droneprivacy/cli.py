@@ -148,23 +148,16 @@ def _print_risks_and_waits(report, evaluation) -> None:
 
 def cmd_gen(args) -> int:
     params = {}
-    for key, attr in (
-        ("separation", "separation"),
-        ("cluster_radius", "cluster_radius"),
-        ("hub_radius", "hub_radius"),
-        ("ring_inner", "ring_inner"),
-        ("ring_outer", "ring_outer"),
-        ("corridor_width", "corridor_width"),
-    ):
-        value = getattr(args, attr)
-        if value is not None:
-            params[key] = value
+    for key in ("separation", "cluster_radius", "hub_radius", "ring_inner", "ring_outer", "corridor_width"):
+        if getattr(args, key) is not None:
+            params[key] = getattr(args, key)
     scenario = generate(args.topology, args.n, args.decoys, args.seed, args.extent, **params)
     motion = None
     if args.speed is not None or args.stop_duration is not None:
+        default = MotionModel()
         motion = MotionModel(
-            speed=args.speed if args.speed is not None else 20.0,
-            stop_duration=args.stop_duration if args.stop_duration is not None else 60.0,
+            speed=args.speed if args.speed is not None else default.speed,
+            stop_duration=args.stop_duration if args.stop_duration is not None else default.stop_duration,
         )
     name = args.name or f"{args.topology}-n{args.n}-d{args.decoys}-seed{args.seed}"
     save_scenario(ScenarioFile(scenario=scenario, name=name, motion=motion), args.out)

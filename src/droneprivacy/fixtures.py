@@ -17,7 +17,7 @@ from .heuristics import (
     stuffing_risk_series,
     template_for,
 )
-from .model import CustomerSite, Route, Scenario, VendorSite, parse_route
+from .model import CustomerSite, Route, Scenario, VendorSite, abstract_scenario, parse_route
 from .observer import enumerate_worlds, posterior_matrix, risks_from_posterior
 from .risk import privacy_risks
 
@@ -150,7 +150,7 @@ def run_fixture_checks() -> list[CheckResult]:
     for name, params, expected_risks, expected_avg in checks:
         closed = closed_form_risks(params)
         flattened = template_for(params).flatten()
-        alg = privacy_risks(flattened, _abstract_scenario(params.n))
+        alg = privacy_risks(flattened, abstract_scenario(params.n))
         ok = closed.risks == expected_risks and alg.risks == expected_risks
         if expected_avg is not None:
             ok = ok and closed.average == expected_avg == alg.average
@@ -158,7 +158,7 @@ def run_fixture_checks() -> list[CheckResult]:
 
     params = HeuristicParams("stuffing", 500, c=3)
     mean = closed_form_risks(params).average
-    alg_mean = privacy_risks(template_for(params).flatten(), _abstract_scenario(500)).average
+    alg_mean = privacy_risks(template_for(params).flatten(), abstract_scenario(500)).average
     rel_err = abs(mean - STUFFING_ASYMPTOTE_C3) / STUFFING_ASYMPTOTE_C3
     record(
         "stuffing-asymptote-c3",
@@ -180,8 +180,3 @@ def run_fixture_checks() -> list[CheckResult]:
     )
     return results
 
-
-def _abstract_scenario(n: int) -> Scenario:
-    vendors = tuple(VendorSite(i + 1, float(i), 0.0) for i in range(n))
-    customers = tuple(CustomerSite(i + 1, float(i), 1.0, vendor_id=i + 1) for i in range(n))
-    return Scenario(vendors=vendors, customers=customers)

@@ -9,11 +9,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Literal
+from typing import Literal, Sequence
 
 import numpy as np
 
-from .model import CustomerSite, Route, Scenario, VendorSite, validate_structure
+from .model import CustomerSite, Route, Scenario, Stop, VendorSite, require_valid
 
 Topology = Literal["uniform", "two_clusters", "hub_spoke", "linear"]
 
@@ -54,25 +54,42 @@ def wait_times(route: Route, scenario: Scenario, motion: MotionModel, *, check: 
     not part of its wait.
     """
     if check:
-        result = validate_structure(route, scenario)
-        if not result.ok:
-            raise ValueError(f"invalid route at stop {result.index}: {result.message}")
-    waits: dict[int, float] = {}
-    stops = route.stops
-    t = 0.0
-    px, py = scenario.position_of(stops[0])
-    for stop in stops[1:]:
-        x, y = scenario.position_of(stop)
-        t += motion.stop_duration + math.hypot(x - px, y - py) / motion.speed
-        if stop.kind == "a":
-            waits[stop.sid] = t
-        px, py = x, y
-    ordered = tuple(waits[c.id] for c in scenario.customers)
+        require_valid(route, scenario)
+    waits = tuple(order_waits(route.stops, scenario, motion))
     return WaitReport(
-        waits=ordered,
-        average=sum(ordered) / len(ordered),
+        waits=waits,
+        average=sum(waits) / len(waits),
         customer_ids=tuple(c.id for c in scenario.customers),
     )
+
+
+def order_waits(stops: Sequence[Stop], scenario: Scenario, motion: MotionModel) -> list[float]:
+    """The travel clock over a valid stop sequence: each order's wait, by order position."""
+    xy = scenario.coords
+    order_of_customer = scenario.order_index
+    speed, stop_s = motion.speed, motion.stop_duration
+    waits = [0.0] * len(order_of_customer)
+    t = 0.0
+    px, py = xy[stops[0].kind, stops[0].sid]
+    for stop in stops[1:]:
+        x, y = xy[stop.kind, stop.sid]
+        t += stop_s + math.hypot(x - px, y - py) / speed
+        if stop.kind == "a":
+            waits[order_of_customer[stop.sid]] = t
+        px, py = x, y
+    return waits
+
+
+def travel_length(stops: Sequence[Stop], scenario: Scenario) -> float:
+    """Total Euclidean length (meters) of the legs between consecutive stops, summed in route order."""
+    xy = scenario.coords
+    total = 0.0
+    px, py = xy[stops[0].kind, stops[0].sid]
+    for stop in stops[1:]:
+        x, y = xy[stop.kind, stop.sid]
+        total += math.hypot(x - px, y - py)
+        px, py = x, y
+    return total
 
 
 def site_order(scenario: Scenario) -> tuple:

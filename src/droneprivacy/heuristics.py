@@ -26,6 +26,7 @@ from fractions import Fraction
 from typing import Literal
 
 from .errors import GuardError
+from .geometry import travel_length
 from .model import DroneSpec, Route, RouteTemplate, Scenario, Stop
 from .risk import RiskReport
 
@@ -245,14 +246,11 @@ def instantiate_template(
 
     if n > 8:
         raise GuardError(f"relabeling search over {n}! order assignments refused (n <= 8)")
-    best: tuple[float, tuple[tuple[int, int], ...], Route] | None = None
-    for mapping in itertools.permutations(range(n)):
-        route = _instantiate_with_mapping(template, scenario, mapping, exhaustive_limit)
-        length = _route_length(route, scenario)
-        key = (length, route.sort_key)
-        if best is None or key < (best[0], best[1]):
-            best = (length, route.sort_key, route)
-    return best[2]
+    routes = (
+        _instantiate_with_mapping(template, scenario, mapping, exhaustive_limit)
+        for mapping in itertools.permutations(range(n))
+    )
+    return min(routes, key=lambda route: (travel_length(route.stops, scenario), route.sort_key))
 
 
 def _bind_stop(stop: Stop, scenario: Scenario, mapping: tuple[int, ...]) -> Stop:
@@ -261,16 +259,6 @@ def _bind_stop(stop: Stop, scenario: Scenario, mapping: tuple[int, ...]) -> Stop
     if stop.kind == "a":
         return Stop("a", scenario.orders[mapping[stop.sid - 1]][1].id)
     return Stop("d", sorted(d.id for d in scenario.decoy_vendors)[stop.sid - 1])
-
-
-def _route_length(route: Route, scenario: Scenario) -> float:
-    total = 0.0
-    px, py = scenario.position_of(route.stops[0])
-    for stop in route.stops[1:]:
-        x, y = scenario.position_of(stop)
-        total += math.hypot(x - px, y - py)
-        px, py = x, y
-    return total
 
 
 def _instantiate_with_mapping(
@@ -283,22 +271,13 @@ def _instantiate_with_mapping(
         sorted((_bind_stop(s, scenario, mapping) for s in group), key=lambda s: s.sort_key)
         for group in template.groups
     ]
-    coords = {s: scenario.position_of(s) for group in groups for s in group}
-
-    def leg(a: Stop, b: Stop) -> float:
-        (ax, ay), (bx, by) = coords[a], coords[b]
-        return math.hypot(bx - ax, by - ay)
-
     if ordering_search_is_exact(template, exhaustive_limit):
-        best_key: tuple[float, tuple[tuple[int, int], ...]] | None = None
-        best_stops: tuple[Stop, ...] | None = None
-        for orderings in itertools.product(*(itertools.permutations(g) for g in groups)):
-            flat = tuple(s for group in orderings for s in group)
-            total = sum(leg(flat[i], flat[i + 1]) for i in range(len(flat) - 1))
-            key = (total, tuple(s.sort_key for s in flat))
-            if best_key is None or key < best_key:
-                best_key, best_stops = key, flat
-        return Route(best_stops)
+        flats = (
+            tuple(s for group in orderings for s in group)
+            for orderings in itertools.product(*(itertools.permutations(g) for g in groups))
+        )
+        # Shortest travel first; ties go to the lexicographically smallest stop sequence.
+        return Route(min(flats, key=lambda f: (travel_length(f, scenario), tuple(s.sort_key for s in f))))
 
     # Too many joint orderings: greedy nearest-neighbor inside each group,
     # measured from the previously placed stop (first group starts at its
@@ -310,7 +289,8 @@ def _instantiate_with_mapping(
             if not placed:
                 choice = min(remaining, key=lambda s: s.sort_key)
             else:
-                choice = min(remaining, key=lambda s: (leg(placed[-1], s), s.sort_key))
+                last = placed[-1]
+                choice = min(remaining, key=lambda s: (travel_length((last, s), scenario), s.sort_key))
             placed.append(choice)
             remaining.remove(choice)
     return Route(tuple(placed))

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
@@ -59,24 +60,40 @@ def scenario_file_to_dict(sf: ScenarioFile) -> dict:
     return data
 
 
-def scenario_file_from_dict(data: dict) -> ScenarioFile:
+def scenario_file_from_dict(data) -> ScenarioFile:
+    """Build a scenario file from parsed JSON; the one boundary check for scenario files.
+
+    Any malformed input (a non-object top level, a missing key, a non-numeric
+    or non-finite coordinate or motion value, ...) raises ``ValueError``.
+    """
+    if not isinstance(data, dict):
+        raise ValueError(f"a scenario file must hold a JSON object, not {type(data).__name__}")
     version = data.get("format_version")
     if version != FORMAT_VERSION:
         raise ValueError(f"unsupported scenario format_version {version!r}")
-    vendors = tuple(
-        VendorSite(id=int(v["id"]), x=float(v["x"]), y=float(v["y"]), decoy=bool(v.get("decoy", False)))
-        for v in data["vendors"]
-    )
-    customers = tuple(
-        CustomerSite(id=int(c["id"]), x=float(c["x"]), y=float(c["y"]), vendor_id=int(c["vendor_id"]))
-        for c in data["customers"]
-    )
-    motion = None
-    if "motion" in data:
-        motion = MotionModel(
-            speed=float(data["motion"]["speed_mps"]),
-            stop_duration=float(data["motion"]["stop_duration_s"]),
+    try:
+        vendors = tuple(
+            VendorSite(id=int(v["id"]), x=float(v["x"]), y=float(v["y"]), decoy=bool(v.get("decoy", False)))
+            for v in data["vendors"]
         )
+        customers = tuple(
+            CustomerSite(id=int(c["id"]), x=float(c["x"]), y=float(c["y"]), vendor_id=int(c["vendor_id"]))
+            for c in data["customers"]
+        )
+        motion = None
+        if "motion" in data:
+            motion = MotionModel(
+                speed=float(data["motion"]["speed_mps"]),
+                stop_duration=float(data["motion"]["stop_duration_s"]),
+            )
+    except KeyError as exc:
+        raise ValueError(f"scenario file is missing key {exc.args[0]!r}") from None
+    except (TypeError, AttributeError, OverflowError) as exc:
+        raise ValueError(f"malformed scenario file: {exc}") from None
+    numbers = [xy for site in vendors + customers for xy in (site.x, site.y)]
+    numbers += [motion.speed, motion.stop_duration] if motion else []
+    if not all(map(math.isfinite, numbers)):
+        raise ValueError("scenario coordinates and motion values must be finite")
     return ScenarioFile(scenario=Scenario(vendors=vendors, customers=customers),
                         name=str(data.get("name", "scenario")), motion=motion)
 

@@ -43,10 +43,6 @@ class Stop:
         return self.kind != "a"
 
     @property
-    def is_decoy(self) -> bool:
-        return self.kind == "d"
-
-    @property
     def token(self) -> str:
         return f"{self.kind}{self.sid}"
 
@@ -166,10 +162,6 @@ class Scenario:
     def n_decoys(self) -> int:
         return sum(1 for v in self.vendors if v.decoy)
 
-    @property
-    def total_vendors(self) -> int:
-        return len(self.vendors)
-
     @cached_property
     def real_vendors(self) -> tuple[VendorSite, ...]:
         return tuple(v for v in self.vendors if not v.decoy)
@@ -179,16 +171,16 @@ class Scenario:
         return tuple(v for v in self.vendors if v.decoy)
 
     @cached_property
-    def _real_by_id(self) -> dict[int, VendorSite]:
-        return {v.id: v for v in self.real_vendors}
+    def _sites(self) -> dict[tuple[str, int], VendorSite | CustomerSite]:
+        """``(stop kind, stop id)`` -> site, for every site."""
+        sites = {("d" if v.decoy else "v", v.id): v for v in self.vendors}
+        sites.update({("a", c.id): c for c in self.customers})
+        return sites
 
     @cached_property
-    def _decoy_by_id(self) -> dict[int, VendorSite]:
-        return {v.id: v for v in self.decoy_vendors}
-
-    @cached_property
-    def _customer_by_id(self) -> dict[int, CustomerSite]:
-        return {c.id: c for c in self.customers}
+    def coords(self) -> dict[tuple[str, int], tuple[float, float]]:
+        """``(stop kind, stop id)`` -> ``(x, y)``; the map the travel clock reads."""
+        return {key: (site.x, site.y) for key, site in self._sites.items()}
 
     @cached_property
     def order_index(self) -> dict[int, int]:
@@ -203,23 +195,24 @@ class Scenario:
     @cached_property
     def orders(self) -> tuple[tuple[VendorSite, CustomerSite], ...]:
         """(vendor, customer) pairs in order position."""
-        return tuple((self._real_by_id[c.vendor_id], c) for c in self.customers)
+        return tuple((self._sites["v", c.vendor_id], c) for c in self.customers)
 
     def site_for(self, stop: Stop):
         """Resolve a stop to its site; the stop kind must match the site kind."""
-        if stop.kind == "v":
-            site = self._real_by_id.get(stop.sid)
-        elif stop.kind == "d":
-            site = self._decoy_by_id.get(stop.sid)
-        else:
-            site = self._customer_by_id.get(stop.sid)
+        site = self._sites.get((stop.kind, stop.sid))
         if site is None:
             raise UnknownIdError(f"scenario has no site for stop {stop.token}")
         return site
 
-    def position_of(self, stop: Stop) -> tuple[float, float]:
-        site = self.site_for(stop)
-        return (site.x, site.y)
+
+def abstract_scenario(n: int, n_decoys: int = 0) -> Scenario:
+    """Placeholder scenario for structure-only work: orders 1..n, decoys 1..n_decoys.
+
+    Vendor, decoy and customer ``i`` sit at x = 100(i-1), y = 0, 50 and 200."""
+    vendors = [VendorSite(i + 1, float(100 * i), 0.0) for i in range(n)]
+    vendors += [VendorSite(i + 1, float(100 * i), 50.0, decoy=True) for i in range(n_decoys)]
+    customers = [CustomerSite(i + 1, float(100 * i), 200.0, vendor_id=i + 1) for i in range(n)]
+    return Scenario(vendors=tuple(vendors), customers=tuple(customers))
 
 
 @dataclass(frozen=True)

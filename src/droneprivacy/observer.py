@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import GuardError
-from .model import Route, Scenario, Stop, validate_structure
+from .model import Route, Scenario, Stop, require_valid
 
 MAX_OBSERVED_ITEMS = 10
 """Upper bound on real orders plus used decoys before enumeration refuses to run."""
@@ -70,9 +70,7 @@ def enumerate_worlds(route: Route, scenario: Scenario, *, check: bool = True) ->
     branch probabilities.
     """
     if check:
-        result = validate_structure(route, scenario)
-        if not result.ok:
-            raise ValueError(f"invalid route at stop {result.index}: {result.message}")
+        require_valid(route, scenario)
     _guard_items(route, scenario)
 
     stops = route.stops

@@ -19,11 +19,12 @@ All arithmetic is exact rational; floats appear only at serialization.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .model import Route, Scenario, validate_structure
+from .model import Route, Scenario, Stop, require_valid
 
 
 @dataclass(frozen=True)
@@ -68,23 +69,37 @@ def privacy_risks(route: Route, scenario: Scenario, *, check: bool = True) -> Ri
     real orders only; decoy stops have no risk entry.
     """
     if check:
-        result = validate_structure(route, scenario)
-        if not result.ok:
-            raise ValueError(f"invalid route at stop {result.index}: {result.message}")
+        require_valid(route, scenario)
+    nums, dens, _ = _run_recurrence(route.stops, scenario)
+    return RiskReport(
+        risks=tuple(map(Fraction, nums, dens)),
+        worst_case=Fraction(*_worst_pair(nums, dens)),
+        average=Fraction(*_average_pair(nums, dens)),
+        customer_ids=tuple(c.id for c in scenario.customers),
+    )
+
+
+def _run_recurrence(stops: Sequence[Stop], scenario: Scenario) -> tuple[list[int], list[int], int]:
+    """The run-based recurrence over a valid stop sequence.
+
+    Returns per-order risk numerators and denominators (integers, in order
+    position, unreduced) and the peak count of real items aboard.
+    """
     order_of_vendor = scenario.order_index_by_vendor
     order_of_customer = scenario.order_index
-    n = scenario.n
-    # Risks accumulate as integer numerator/denominator pairs; one reduction at the end.
+    n = len(order_of_customer)
     nums = [1] * n
     dens = [1] * n
     aboard: list[int] = []
     phantoms = 0
-    stops = route.stops
+    peak = 0
     i, total = 0, len(stops)
     while i < total:
         while i < total and stops[i].kind != "a":
             if stops[i].kind == "v":
                 aboard.append(order_of_vendor[stops[i].sid])
+                if len(aboard) > peak:
+                    peak = len(aboard)
             else:
                 phantoms += 1
             i += 1
@@ -99,5 +114,19 @@ def privacy_risks(route: Route, scenario: Scenario, *, check: bool = True) -> Ri
             for pos in aboard:
                 nums[pos] *= survivors
                 dens[pos] *= payload_at_run_start
-    risks = tuple(Fraction(nu, de) for nu, de in zip(nums, dens))
-    return RiskReport.from_risks(risks, tuple(c.id for c in scenario.customers))
+    return nums, dens, peak
+
+
+def _average_pair(nums: list[int], dens: list[int]) -> tuple[int, int]:
+    """Exact mean of the risks ``nums[i] / dens[i]`` as an unreduced integer pair."""
+    common = math.lcm(*dens)
+    return sum(nu * (common // de) for nu, de in zip(nums, dens)), common * len(dens)
+
+
+def _worst_pair(nums: list[int], dens: list[int]) -> tuple[int, int]:
+    """Largest of the risks ``nums[i] / dens[i]``, compared by cross-multiplication."""
+    best_nu, best_de = nums[0], dens[0]
+    for nu, de in zip(nums, dens):
+        if nu * best_de > best_nu * de:
+            best_nu, best_de = nu, de
+    return best_nu, best_de

@@ -18,9 +18,9 @@ from fractions import Fraction
 from typing import Iterable, Iterator
 
 from .errors import GuardError
-from .geometry import MotionModel, wait_times
-from .model import CustomerSite, DroneSpec, Route, Scenario, Stop, VendorSite, validate_route
-from .risk import privacy_risks
+from .geometry import MotionModel, order_waits, wait_times
+from .model import DroneSpec, Route, Scenario, Stop, abstract_scenario, require_valid
+from .risk import _average_pair, _run_recurrence, _worst_pair, privacy_risks
 
 MAX_ORDERS = 7
 MAX_DECOY_BUDGET = 3
@@ -40,15 +40,6 @@ class Evaluation:
     waits: tuple[float, ...]
     customer_ids: tuple[int, ...]
     heuristic_tag: str | None = None
-
-    def objective(self, name: str):
-        if name == "avg_risk":
-            return self.avg_risk
-        if name == "worst_risk":
-            return self.worst_risk
-        if name == "avg_wait":
-            return self.avg_wait
-        raise ValueError(f"unknown objective {name!r}")
 
 
 @dataclass(frozen=True)
@@ -171,9 +162,7 @@ def evaluate(
     The motion model defaults to the drone's speed and stop duration.
     """
     if check:
-        result = validate_route(route, scenario, drone)
-        if not result.ok:
-            raise ValueError(f"invalid route at stop {result.index}: {result.message}")
+        require_valid(route, scenario, drone)
     report = privacy_risks(route, scenario, check=False)
     motion = motion or MotionModel(speed=drone.speed, stop_duration=drone.stop_duration)
     waits = wait_times(route, scenario, motion, check=False)
@@ -256,98 +245,23 @@ def pareto_front(
         )
     _check_guards(scenario, decoy_budget)
     motion = motion or MotionModel(speed=drone.speed, stop_duration=drone.stop_duration)
-    use_avg = risk_obj == "avg_risk"
-
-    order_of_vendor = scenario.order_index_by_vendor
-    order_of_customer = scenario.order_index
+    risk_of = _average_pair if risk_obj == "avg_risk" else _worst_pair
     n = scenario.n
-    coords: dict[Stop, tuple[float, float]] = {}
-    for v in scenario.real_vendors:
-        coords[Stop("v", v.id)] = (v.x, v.y)
-    for d in scenario.decoy_vendors:
-        coords[Stop("d", d.id)] = (d.x, d.y)
-    for c in scenario.customers:
-        coords[Stop("a", c.id)] = (c.x, c.y)
-    leg_cache: dict[tuple[Stop, Stop], float] = {}
-    speed, stop_s = motion.speed, motion.stop_duration
 
     front = ParetoAccumulator()
     total = 0
     for seq in _sequences(scenario, drone.capacity, decoy_budget):
         total += 1
-        risk = _route_risk_objective(seq, order_of_vendor, order_of_customer, n, use_avg)
-        wait = _route_avg_wait(seq, coords, leg_cache, speed, stop_s, order_of_customer, n)
-        front.offer(risk, wait, seq)
+        nums, dens, _ = _run_recurrence(seq, scenario)
+        # Same summation as wait_times(), so the wait is bit-identical to evaluate()'s.
+        wait = sum(order_waits(seq, scenario, motion)) / n
+        front.offer(Fraction(*risk_of(nums, dens)), wait, seq)
 
     points = []
     for risk, wait, seq, count in zip(front.risks, front.waits, front.seqs, front.counts):
         evaluation = evaluate(Route(seq), scenario, drone, motion=motion, check=False)
         points.append(ParetoPoint(evaluation=evaluation, multiplicity=count))
     return ParetoFront(objectives=(risk_obj, wait_obj), points=tuple(points), total_routes=total)
-
-
-def _route_risk_objective(seq, order_of_vendor, order_of_customer, n, use_avg) -> Fraction:
-    nums, dens, _ = _risk_pairs(seq, order_of_vendor, order_of_customer, n)
-    if use_avg:
-        common = math.lcm(*dens)
-        return Fraction(sum(nu * (common // de) for nu, de in zip(nums, dens)), common * n)
-    best_nu, best_de = nums[0], dens[0]
-    for nu, de in zip(nums, dens):
-        if nu * best_de > best_nu * de:
-            best_nu, best_de = nu, de
-    return Fraction(best_nu, best_de)
-
-
-def _risk_pairs(seq, order_of_vendor, order_of_customer, n):
-    """Shared inner loop: per-order risk numerators/denominators and peak real payload."""
-    nums = [1] * n
-    dens = [1] * n
-    aboard: list[int] = []
-    phantoms = 0
-    peak = 0
-    i, total = 0, len(seq)
-    while i < total:
-        while i < total and seq[i].kind != "a":
-            if seq[i].kind == "v":
-                aboard.append(order_of_vendor[seq[i].sid])
-                if len(aboard) > peak:
-                    peak = len(aboard)
-            else:
-                phantoms += 1
-            i += 1
-        payload = len(aboard) + phantoms
-        while i < total and seq[i].kind == "a":
-            pos = order_of_customer[seq[i].sid]
-            dens[pos] *= payload
-            aboard.remove(pos)
-            i += 1
-        survivors = len(aboard) + phantoms
-        if aboard and survivors != payload:
-            for pos in aboard:
-                nums[pos] *= survivors
-                dens[pos] *= payload
-    return nums, dens, peak
-
-
-def _route_avg_wait(seq, coords, leg_cache, speed, stop_s, order_of_customer, n) -> float:
-    # Waits are summed in scenario order so the result is bit-identical to
-    # wait_times() on the same route.
-    waits = [0.0] * n
-    t = 0.0
-    prev = seq[0]
-    for stop in seq[1:]:
-        key = (prev, stop)
-        length = leg_cache.get(key)
-        if length is None:
-            (ax, ay), (bx, by) = coords[prev], coords[stop]
-            length = math.hypot(bx - ax, by - ay)
-            leg_cache[key] = length
-            leg_cache[(stop, prev)] = length
-        t += stop_s + length / speed
-        if stop.kind == "a":
-            waits[order_of_customer[stop.sid]] = t
-        prev = stop
-    return sum(waits) / n
 
 
 def min_avg_risk_sweep(
@@ -373,16 +287,12 @@ def min_avg_risk_sweep(
     table: dict[tuple[int, int, int], Fraction] = {}
     for n in n_values:
         for n_d in d_values:
-            scenario = _structural_scenario(n, n_d)
+            scenario = abstract_scenario(n, n_d)
             _check_guards(scenario, n_d)
-            order_of_vendor = scenario.order_index_by_vendor
-            order_of_customer = scenario.order_index
             best_by_peak: dict[int, tuple[int, int]] = {}
             for seq in _sequences(scenario, min(c_max, n), n_d):
-                nums, dens, peak = _risk_pairs(seq, order_of_vendor, order_of_customer, n)
-                common = math.lcm(*dens)
-                nu = sum(x * (common // de) for x, de in zip(nums, dens))
-                de = common * n
+                nums, dens, peak = _run_recurrence(seq, scenario)
+                nu, de = _average_pair(nums, dens)
                 cur = best_by_peak.get(peak)
                 if cur is None or nu * cur[1] < cur[0] * de:
                     best_by_peak[peak] = (nu, de)
@@ -394,10 +304,3 @@ def min_avg_risk_sweep(
                 table[(n, c, n_d)] = Fraction(*best)
     return table
 
-
-def _structural_scenario(n: int, n_d: int) -> Scenario:
-    """Geometry-free scenario used for risk-only sweeps."""
-    vendors = [VendorSite(i + 1, float(i), 0.0) for i in range(n)]
-    vendors += [VendorSite(i + 1, float(i), 1.0, decoy=True) for i in range(n_d)]
-    customers = [CustomerSite(i + 1, float(i), 2.0, vendor_id=i + 1) for i in range(n)]
-    return Scenario(vendors=tuple(vendors), customers=tuple(customers))

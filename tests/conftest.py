@@ -1,5 +1,5 @@
-"""Shared test helpers: small scenario builders, a random valid-route walker,
-and an independent permutation-filter enumerator used as a counting oracle.
+"""Shared test helpers: a random valid-route walker and an independent
+permutation-filter enumerator used as a counting oracle.
 """
 
 from __future__ import annotations
@@ -7,15 +7,7 @@ from __future__ import annotations
 import itertools
 import random
 
-from droneprivacy import CustomerSite, Route, Scenario, Stop, VendorSite
-
-
-def abstract_scenario(n: int, n_decoys: int = 0) -> Scenario:
-    """Orders 1..n and decoys 1..n_decoys on a simple grid."""
-    vendors = [VendorSite(i + 1, float(100 * i), 0.0) for i in range(n)]
-    vendors += [VendorSite(i + 1, float(100 * i), 50.0, decoy=True) for i in range(n_decoys)]
-    customers = [CustomerSite(i + 1, float(100 * i), 200.0, vendor_id=i + 1) for i in range(n)]
-    return Scenario(vendors=tuple(vendors), customers=tuple(customers))
+from droneprivacy import Route, Scenario, Stop
 
 
 def random_valid_route(

@@ -24,6 +24,7 @@ from droneprivacy import (
     Route,
     ScenarioFile,
     Stop,
+    abstract_scenario,
     closed_form_risks,
     enumerate_worlds,
     evaluate,
@@ -53,7 +54,7 @@ from droneprivacy.fixtures import (
     worked_example_scenario,
 )
 from droneprivacy.search import _sequences
-from conftest import abstract_scenario, brute_force_routes, random_valid_route
+from conftest import brute_force_routes, random_valid_route
 
 
 def report(num: int, name: str, ok: bool, detail: str = "") -> None:

@@ -194,3 +194,57 @@ def test_cli_fixtures_all_pass(capsys):
     out = capsys.readouterr().out
     assert "FAIL" not in out
     assert out.count("PASS") >= 10
+
+
+def _one_order_file(edit=lambda data: None):
+    data = {
+        "format_version": 1,
+        "name": "one-order",
+        "units": "meters",
+        "vendors": [{"id": 1, "x": 0.0, "y": 0.0, "decoy": False}],
+        "customers": [{"id": 1, "x": 300.0, "y": 400.0, "vendor_id": 1}],
+        "motion": {"speed_mps": 20.0, "stop_duration_s": 60.0},
+    }
+    edit(data)
+    return data
+
+
+_MALFORMED_SCENARIOS = {
+    "top-level-list": [_one_order_file()],
+    "top-level-number": 7,
+    "no-customers": _one_order_file(lambda d: d.pop("customers")),
+    "no-vendors": _one_order_file(lambda d: d.pop("vendors")),
+    "vendors-not-a-list": _one_order_file(lambda d: d.update(vendors={"id": 1})),
+    "vendor-without-x": _one_order_file(lambda d: d["vendors"][0].pop("x")),
+    "customer-without-vendor-id": _one_order_file(lambda d: d["customers"][0].pop("vendor_id")),
+    "vendor-id-null": _one_order_file(lambda d: d["vendors"][0].update(id=None)),
+    "nan-vendor-x": _one_order_file(lambda d: d["vendors"][0].update(x=float("nan"))),
+    "infinite-customer-y": _one_order_file(lambda d: d["customers"][0].update(y=float("inf"))),
+    "string-coordinate": _one_order_file(lambda d: d["customers"][0].update(x="east")),
+    "nan-speed": _one_order_file(lambda d: d["motion"].update(speed_mps=float("nan"))),
+    "infinite-stop-duration": _one_order_file(lambda d: d["motion"].update(stop_duration_s=float("inf"))),
+    "motion-without-speed": _one_order_file(lambda d: d["motion"].pop("speed_mps")),
+    "motion-not-an-object": _one_order_file(lambda d: d.update(motion=20.0)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_MALFORMED_SCENARIOS))
+def test_cli_malformed_scenario_file_exits_3_without_traceback(tmp_path, case):
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import droneprivacy
+
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(_MALFORMED_SCENARIOS[case]))  # NaN/Infinity as Python's json writes them
+    src = str(Path(droneprivacy.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-m", "droneprivacy.cli", "eval", "--scenario", str(path),
+         "--route", "v1,a1", "--capacity", "1"],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src}, timeout=60,
+    )
+    assert proc.returncode == 3, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("error: ")

@@ -9,6 +9,7 @@ import pytest
 from droneprivacy import (
     UNIT_FIXTURE_MOTION,
     MotionModel,
+    abstract_scenario,
     distance_matrix,
     generate,
     parse_route,
@@ -17,7 +18,6 @@ from droneprivacy import (
     wait_times,
 )
 from droneprivacy.fixtures import UNIT_SQUARE_TABLE, WAIT_TOLERANCE
-from conftest import abstract_scenario
 
 
 def test_unit_square_distances():

@@ -11,13 +11,13 @@ from droneprivacy import (
     Stop,
     UnknownIdError,
     VendorSite,
+    abstract_scenario,
     decompose_runs,
     parse_route,
     parse_stop,
     validate_route,
     validate_structure,
 )
-from conftest import abstract_scenario
 
 
 def test_parse_stop_kinds():

@@ -8,13 +8,13 @@ from droneprivacy import (
     GuardError,
     Route,
     Stop,
+    abstract_scenario,
     enumerate_worlds,
     parse_route,
     posterior_matrix,
     privacy_risks,
     risks_from_posterior,
 )
-from conftest import abstract_scenario
 
 
 def drop_payload_sizes(route, scenario):

@@ -10,6 +10,7 @@ from droneprivacy import (
     MotionModel,
     Route,
     ScenarioFile,
+    abstract_scenario,
     decompose_runs,
     enumerate_routes,
     enumerate_worlds,
@@ -24,7 +25,7 @@ from droneprivacy import (
     wait_times,
 )
 from droneprivacy.io import scenario_file_from_dict, scenario_file_to_dict
-from conftest import abstract_scenario, random_valid_route
+from conftest import random_valid_route
 
 
 @st.composite

@@ -7,6 +7,7 @@ import pytest
 from droneprivacy import (
     Route,
     Stop,
+    abstract_scenario,
     average_risk,
     enumerate_worlds,
     posterior_matrix,
@@ -14,7 +15,6 @@ from droneprivacy import (
     risks_from_posterior,
     worst_case_risk,
 )
-from conftest import abstract_scenario
 
 
 def test_worked_example_exact():

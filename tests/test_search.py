@@ -10,6 +10,7 @@ from droneprivacy import (
     GuardError,
     ParetoAccumulator,
     Stop,
+    abstract_scenario,
     enumerate_routes,
     evaluate,
     generate,
@@ -20,7 +21,7 @@ from droneprivacy import (
     unit_square_fixture,
     UNIT_FIXTURE_MOTION,
 )
-from conftest import abstract_scenario, brute_force_routes
+from conftest import brute_force_routes
 
 
 def test_single_order_single_route():
@@ -167,6 +168,28 @@ def test_pareto_front_with_decoy_budget():
     assert front.total_routes == 4
     risks = {p.evaluation.avg_risk for p in front.points}
     assert F(1, 2) in risks  # a decoy detour buys privacy at a wait cost
+
+
+@pytest.mark.parametrize("objective", ["avg_risk", "worst_risk"])
+@pytest.mark.parametrize("n, budget", [(n, b) for n in range(1, 4) for b in range(3)] + [(4, 0)])
+def test_pareto_front_matches_the_per_route_path(n, budget, objective):
+    """pareto_front's fused loop equals enumerate_routes + evaluate + a fresh accumulator."""
+    # The grid has many exactly tied waits, so multiplicities and tie-breaks get exercised.
+    for scenario in (generate("uniform", n, n_decoys=2, seed=n), abstract_scenario(n, n_decoys=2)):
+        for capacity in range(1, n + 1):
+            drone = DroneSpec(capacity=capacity)
+            front = pareto_front(scenario, drone, (objective, "avg_wait"), budget)
+            acc = ParetoAccumulator()
+            total = 0
+            for route in enumerate_routes(scenario, drone, budget):
+                e = evaluate(route, scenario, drone)
+                acc.offer(getattr(e, objective), e.avg_wait, route.stops)
+                total += 1
+            assert front.total_routes == total
+            assert [getattr(p.evaluation, objective) for p in front.points] == acc.risks
+            assert [p.evaluation.avg_wait.hex() for p in front.points] == [w.hex() for w in acc.waits]
+            assert [p.evaluation.route.stops for p in front.points] == acc.seqs
+            assert [p.multiplicity for p in front.points] == acc.counts
 
 
 def test_pareto_rejects_bad_objectives():

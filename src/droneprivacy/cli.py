@@ -31,7 +31,6 @@ from .io import (
 )
 from .model import DroneSpec, parse_route
 from .observer import enumerate_worlds, posterior_matrix
-from .risk import privacy_risks
 from .search import evaluate, min_avg_risk_sweep, pareto_front
 
 EXIT_OK = 0
@@ -136,11 +135,11 @@ def _motion_for(args, scenario_file: ScenarioFile, drone: DroneSpec) -> MotionMo
     return MotionModel(speed=speed, stop_duration=stop)
 
 
-def _print_risks_and_waits(report, evaluation) -> None:
-    for cid, risk in zip(report.customer_ids, report.risks):
+def _print_risks_and_waits(evaluation) -> None:
+    for cid, risk in zip(evaluation.customer_ids, evaluation.risks):
         print(f"risk a{cid} = {format_fraction(risk)} ({float(risk):.6g})")
-    print(f"avg_risk = {format_fraction(report.average)} ({float(report.average):.6g})")
-    print(f"worst_risk = {format_fraction(report.worst_case)} ({float(report.worst_case):.6g})")
+    print(f"avg_risk = {format_fraction(evaluation.avg_risk)} ({float(evaluation.avg_risk):.6g})")
+    print(f"worst_risk = {format_fraction(evaluation.worst_risk)} ({float(evaluation.worst_risk):.6g})")
     for cid, wait in zip(evaluation.customer_ids, evaluation.waits):
         print(f"wait a{cid} = {wait:.3f} s")
     print(f"avg_wait = {evaluation.avg_wait:.3f} s")
@@ -174,8 +173,7 @@ def cmd_eval(args) -> int:
     evaluation = evaluate(route, sf.scenario, drone, motion=motion)
     print(f"scenario: {sf.name} (n={sf.scenario.n}, decoys={sf.scenario.n_decoys})")
     print(f"route: {route.tokens}")
-    report = privacy_risks(route, sf.scenario, check=False)
-    _print_risks_and_waits(report, evaluation)
+    _print_risks_and_waits(evaluation)
     return EXIT_OK
 
 
@@ -204,8 +202,7 @@ def cmd_heuristic(args) -> int:
     print(f"heuristic: {params.label} (required capacity {params.required_capacity})")
     print(f"route: {route.tokens}")
     print(f"ordering: {'exact minimum travel' if exact else 'nearest-neighbor (approximate)'}")
-    report = privacy_risks(route, sf.scenario, check=False)
-    _print_risks_and_waits(report, evaluation)
+    _print_risks_and_waits(evaluation)
     return EXIT_OK
 
 

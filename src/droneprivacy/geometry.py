@@ -80,6 +80,14 @@ def order_waits(stops: Sequence[Stop], scenario: Scenario, motion: MotionModel) 
     return waits
 
 
+def leg_times(stops: Sequence[Stop], scenario: Scenario, motion: MotionModel) -> list[list[float]]:
+    """Clock increment between every pair of ``stops``: ``table[i][j]`` is the term
+    :func:`order_waits` adds for a leg from ``stops[i]`` to ``stops[j]``, bit for bit."""
+    points = [scenario.coords[stop.kind, stop.sid] for stop in stops]
+    speed, stop_s = motion.speed, motion.stop_duration
+    return [[stop_s + math.hypot(x - px, y - py) / speed for x, y in points] for px, py in points]
+
+
 def travel_length(stops: Sequence[Stop], scenario: Scenario) -> float:
     """Total Euclidean length (meters) of the legs between consecutive stops, summed in route order."""
     xy = scenario.coords

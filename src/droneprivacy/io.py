@@ -60,11 +60,25 @@ def scenario_file_to_dict(sf: ScenarioFile) -> dict:
     return data
 
 
+def _integral(value) -> int:
+    """An id from a scenario file: an integer, or a number or string that is one; never a bool."""
+    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
+        raise ValueError(f"scenario ids must be integers, got {value!r}")
+    return int(value)
+
+
+def _flag(value) -> bool:
+    if not isinstance(value, bool):
+        raise ValueError(f"a vendor's decoy flag must be true or false, got {value!r}")
+    return value
+
+
 def scenario_file_from_dict(data) -> ScenarioFile:
     """Build a scenario file from parsed JSON; the one boundary check for scenario files.
 
     Any malformed input (a non-object top level, a missing key, a non-numeric
-    or non-finite coordinate or motion value, ...) raises ``ValueError``.
+    or non-finite coordinate or motion value, a fractional id, a decoy flag
+    that is not a JSON boolean, ...) raises ``ValueError``.
     """
     if not isinstance(data, dict):
         raise ValueError(f"a scenario file must hold a JSON object, not {type(data).__name__}")
@@ -73,11 +87,13 @@ def scenario_file_from_dict(data) -> ScenarioFile:
         raise ValueError(f"unsupported scenario format_version {version!r}")
     try:
         vendors = tuple(
-            VendorSite(id=int(v["id"]), x=float(v["x"]), y=float(v["y"]), decoy=bool(v.get("decoy", False)))
+            VendorSite(id=_integral(v["id"]), x=float(v["x"]), y=float(v["y"]),
+                       decoy=_flag(v.get("decoy", False)))
             for v in data["vendors"]
         )
         customers = tuple(
-            CustomerSite(id=int(c["id"]), x=float(c["x"]), y=float(c["y"]), vendor_id=int(c["vendor_id"]))
+            CustomerSite(id=_integral(c["id"]), x=float(c["x"]), y=float(c["y"]),
+                         vendor_id=_integral(c["vendor_id"]))
             for c in data["customers"]
         )
         motion = None

@@ -70,7 +70,7 @@ def privacy_risks(route: Route, scenario: Scenario, *, check: bool = True) -> Ri
     """
     if check:
         require_valid(route, scenario)
-    nums, dens, _ = _run_recurrence(route.stops, scenario)
+    nums, dens = _run_recurrence(route.stops, scenario)
     return RiskReport(
         risks=tuple(map(Fraction, nums, dens)),
         worst_case=Fraction(*_worst_pair(nums, dens)),
@@ -79,11 +79,11 @@ def privacy_risks(route: Route, scenario: Scenario, *, check: bool = True) -> Ri
     )
 
 
-def _run_recurrence(stops: Sequence[Stop], scenario: Scenario) -> tuple[list[int], list[int], int]:
+def _run_recurrence(stops: Sequence[Stop], scenario: Scenario) -> tuple[list[int], list[int]]:
     """The run-based recurrence over a valid stop sequence.
 
     Returns per-order risk numerators and denominators (integers, in order
-    position, unreduced) and the peak count of real items aboard.
+    position, unreduced).
     """
     order_of_vendor = scenario.order_index_by_vendor
     order_of_customer = scenario.order_index
@@ -92,14 +92,11 @@ def _run_recurrence(stops: Sequence[Stop], scenario: Scenario) -> tuple[list[int
     dens = [1] * n
     aboard: list[int] = []
     phantoms = 0
-    peak = 0
     i, total = 0, len(stops)
     while i < total:
         while i < total and stops[i].kind != "a":
             if stops[i].kind == "v":
                 aboard.append(order_of_vendor[stops[i].sid])
-                if len(aboard) > peak:
-                    peak = len(aboard)
             else:
                 phantoms += 1
             i += 1
@@ -114,7 +111,7 @@ def _run_recurrence(stops: Sequence[Stop], scenario: Scenario) -> tuple[list[int
             for pos in aboard:
                 nums[pos] *= survivors
                 dens[pos] *= payload_at_run_start
-    return nums, dens, peak
+    return nums, dens
 
 
 def _average_pair(nums: list[int], dens: list[int]) -> tuple[int, int]:

@@ -2,9 +2,10 @@
 
 Enumeration is a depth-first walk over lexicographic stop choices (real
 vendors by id, then decoys, then customers), so the route stream is
-deterministic and free of duplicates.  Risk objectives are exact rationals;
-wait objectives are floats computed in a fixed order, so fronts are
-bit-reproducible.  Front accumulation is merge-based: combining partial
+deterministic and free of duplicates.  The walk carries each prefix's risk
+and clock state, so fronts and sweeps never rescan a route.  Risk objectives
+are exact rationals; wait objectives are floats computed in a fixed order, so
+fronts are bit-reproducible.  Front accumulation is merge-based: combining partial
 fronts from any partition of the route stream in any order yields the same
 result as one sequential pass.
 """
@@ -18,9 +19,9 @@ from fractions import Fraction
 from typing import Iterable, Iterator
 
 from .errors import GuardError
-from .geometry import MotionModel, order_waits, wait_times
+from .geometry import MotionModel, leg_times, wait_times
 from .model import DroneSpec, Route, Scenario, Stop, abstract_scenario, require_valid
-from .risk import _average_pair, _run_recurrence, _worst_pair, privacy_risks
+from .risk import privacy_risks
 
 MAX_ORDERS = 7
 MAX_DECOY_BUDGET = 3
@@ -31,12 +32,17 @@ WAIT_OBJECTIVE = "avg_wait"
 
 @dataclass(frozen=True)
 class Evaluation:
-    """One route with its privacy and efficiency objectives."""
+    """One route with its privacy and efficiency objectives.
+
+    ``risks`` and ``waits`` are per order, in scenario order position, for the
+    customers listed in ``customer_ids``.
+    """
 
     route: Route
     avg_risk: Fraction
     worst_risk: Fraction
     avg_wait: float
+    risks: tuple[Fraction, ...]
     waits: tuple[float, ...]
     customer_ids: tuple[int, ...]
     heuristic_tag: str | None = None
@@ -101,51 +107,131 @@ def enumerate_routes(scenario: Scenario, drone: DroneSpec, decoy_budget: int = 0
         yield Route(seq)
 
 
-def _sequences(scenario: Scenario, capacity: int, decoy_budget: int) -> Iterator[tuple[Stop, ...]]:
-    order_pos_by_vendor = scenario.order_index_by_vendor
-    reals = sorted(
-        ((Stop("v", v.id), order_pos_by_vendor[v.id]) for v in scenario.real_vendors),
-        key=lambda t: t[0].sid,
-    )
-    custs = sorted(
-        ((Stop("a", c.id), scenario.order_index[c.id]) for c in scenario.customers),
-        key=lambda t: t[0].sid,
-    )
-    decoys = sorted((Stop("d", d.id) for d in scenario.decoy_vendors), key=lambda s: s.sid)
+class _RouteState:
+    """What :func:`_sequences` knows about the route it last yielded.
+
+    ``risk_sum`` (the sum of the per-order risks) and ``worst`` (the largest
+    of them) are exact and reduced ``(numerator, denominator)`` pairs, so
+    equal values have equal pairs.  ``peak`` is the most real items aboard at
+    once.  ``avg_wait`` is set only on a walk given a motion model; it is
+    bit-identical to :func:`~droneprivacy.geometry.wait_times`' average.
+    """
+
+    __slots__ = ("risk_sum", "worst", "peak", "avg_wait")
+
+
+def _sequences(
+    scenario: Scenario,
+    capacity: int,
+    decoy_budget: int,
+    motion: MotionModel | None = None,
+    state: _RouteState | None = None,
+) -> Iterator[tuple[Stop, ...]]:
+    """Every valid stop sequence, in ``Route.sort_key`` order, each described in ``state``.
+
+    The walk extends a prefix one stop at a time (real vendors by id, then
+    decoys by id, then customers by id) and carries the prefix's risk and
+    clock state, so a route costs amortized O(1) instead of a rescan.  The
+    risk state is the one of :func:`~droneprivacy.risk._run_recurrence`: the
+    payload frozen at the start of the current customer run, and the product
+    of the survivor fractions of the completed runs (``pn / pd``), which
+    each order snapshots at pickup.  A delivered order's risk is final at
+    once: the product's growth since its pickup, divided by the frozen
+    payload.
+    """
     n = scenario.n
+    order_of_vendor = scenario.order_index_by_vendor
+    order_of_customer = scenario.order_index
+    vendor_ids = sorted(v.id for v in scenario.real_vendors)
+    decoy_ids = sorted(d.id for d in scenario.decoy_vendors)
+    customer_ids = sorted(c.id for c in scenario.customers)
+    stops = [Stop("v", i) for i in vendor_ids] + [Stop("d", i) for i in decoy_ids]
+    stops += [Stop("a", i) for i in customer_ids]
+    # (index into stops, order position); decoys need only the index
+    reals = [(k, order_of_vendor[i]) for k, i in enumerate(vendor_ids)]
+    decoys = list(range(n, n + len(decoy_ids)))
+    custs = [(n + len(decoy_ids) + k, order_of_customer[i]) for k, i in enumerate(customer_ids)]
+    # Without a motion model every leg takes no time.  The extra all-zero last row (``last`` = -1)
+    # is the leg into the first stop, where the clock starts.
+    no_legs = [[0.0] * len(stops)]
+    legs = (no_legs * len(stops) if motion is None else leg_times(stops, scenario, motion)) + no_legs
     picked = [False] * n
     dropped = [False] * n
-    decoy_used = [False] * len(decoys)
+    decoy_used = [False] * len(stops)
+    pickup_n = [1] * n  # pn and pd when each aboard order was picked up
+    pickup_d = [1] * n
+    waits = [0.0] * n
     path: list[Stop] = []
 
-    def walk(remaining: int, aboard: int, decoys_left: int) -> Iterator[tuple[Stop, ...]]:
+    def publish(sn, sd, wn, wd, peak):
+        if state is not None:
+            state.risk_sum = (sn, sd)
+            state.worst = (wn, wd)
+            state.peak = peak
+            if motion is not None:
+                state.avg_wait = sum(waits) / n
+
+    # remaining: orders not yet delivered; frozen: the current customer run's payload (0 in a
+    # vendor run); sn / sd: risk sum; wn / wd: worst risk; t: clock; last: index of the last stop.
+    def walk(remaining, aboard, decoys_left, frozen, pn, pd, sn, sd, wn, wd, peak, t, last):
         if remaining == 0:
+            publish(sn, sd, wn, wd, peak)
             yield tuple(path)
+        row = legs[last]
+        vpn, vpd = pn, pd  # the survivor product after a vendor or decoy stop
+        if frozen and aboard:
+            # That stop closes the customer run; the orders still aboard survived it.
+            vpn, vpd = pn * (aboard + decoy_budget - decoys_left), pd * frozen
         if aboard < capacity:
-            for stop, pos in reals:
+            load = aboard + 1
+            for k, pos in reals:
                 if not picked[pos]:
                     picked[pos] = True
-                    path.append(stop)
-                    yield from walk(remaining, aboard + 1, decoys_left)
+                    pickup_n[pos] = vpn
+                    pickup_d[pos] = vpd
+                    path.append(stops[k])
+                    yield from walk(remaining, load, decoys_left, 0, vpn, vpd, sn, sd, wn, wd,
+                                    load if load > peak else peak, t + row[k], k)
                     path.pop()
                     picked[pos] = False
         if decoys_left:
-            for j, stop in enumerate(decoys):
-                if not decoy_used[j]:
-                    decoy_used[j] = True
-                    path.append(stop)
-                    yield from walk(remaining, aboard, decoys_left - 1)
+            for k in decoys:
+                if not decoy_used[k]:
+                    decoy_used[k] = True
+                    path.append(stops[k])
+                    yield from walk(remaining, aboard, decoys_left - 1, 0, vpn, vpd, sn, sd, wn, wd,
+                                    peak, t + row[k], k)
                     path.pop()
-                    decoy_used[j] = False
-        for stop, pos in custs:
+                    decoy_used[k] = False
+        payload = frozen or aboard + decoy_budget - decoys_left
+        for k, pos in custs:
             if picked[pos] and not dropped[pos]:
                 dropped[pos] = True
-                path.append(stop)
-                yield from walk(remaining - 1, aboard - 1, decoys_left)
+                num = pn * pickup_d[pos]
+                den = pd * pickup_n[pos] * payload
+                g = math.gcd(num, den)
+                num //= g
+                den //= g
+                nsn = sn * den + num * sd
+                nsd = sd * den
+                g = math.gcd(nsn, nsd)
+                if num * wd > wn * den:
+                    nwn, nwd = num, den
+                else:
+                    nwn, nwd = wn, wd
+                waits[pos] = t + row[k]
+                path.append(stops[k])
+                if remaining == 1 and not decoys_left:
+                    # The last delivery, and no decoy left to append: the route is complete.
+                    publish(nsn // g, nsd // g, nwn, nwd, peak)
+                    yield tuple(path)
+                else:
+                    yield from walk(remaining - 1, aboard - 1, decoys_left, payload, pn, pd,
+                                    nsn // g, nsd // g, nwn, nwd, peak, waits[pos], k)
                 path.pop()
                 dropped[pos] = False
 
-    yield from walk(n, 0, decoy_budget)
+    yield from walk(n, 0, decoy_budget, 0, 1, 1, 0, 1, 0, 1, 0, 0.0, -1)
 
 
 def evaluate(
@@ -171,6 +257,7 @@ def evaluate(
         avg_risk=report.average,
         worst_risk=report.worst_case,
         avg_wait=waits.average,
+        risks=report.risks,
         waits=waits.waits,
         customer_ids=waits.customer_ids,
         heuristic_tag=tag,
@@ -245,18 +332,29 @@ def pareto_front(
         )
     _check_guards(scenario, decoy_budget)
     motion = motion or MotionModel(speed=drone.speed, stop_duration=drone.stop_duration)
-    risk_of = _average_pair if risk_obj == "avg_risk" else _worst_pair
+    average = risk_obj == "avg_risk"
     n = scenario.n
 
-    front = ParetoAccumulator()
+    # Per exact risk value: [minimum wait, routes at exactly that wait, the first of them].  Only
+    # a minimum can reach the front, and the walk's order makes the first route the smallest.
+    best: dict[tuple[int, int], list] = {}
+    state = _RouteState()
     total = 0
-    for seq in _sequences(scenario, drone.capacity, decoy_budget):
+    for seq in _sequences(scenario, drone.capacity, decoy_budget, motion, state):
         total += 1
-        nums, dens, _ = _run_recurrence(seq, scenario)
-        # Same summation as wait_times(), so the wait is bit-identical to evaluate()'s.
-        wait = sum(order_waits(seq, scenario, motion)) / n
-        front.offer(Fraction(*risk_of(nums, dens)), wait, seq)
+        key = state.risk_sum if average else state.worst
+        wait = state.avg_wait
+        entry = best.get(key)
+        if entry is None:
+            best[key] = [wait, 1, seq]
+        elif wait < entry[0]:
+            entry[:] = wait, 1, seq
+        elif wait == entry[0]:
+            entry[1] += 1
 
+    front = ParetoAccumulator()
+    for (num, den), (wait, count, seq) in best.items():
+        front.offer(Fraction(num, den * n) if average else Fraction(num, den), wait, seq, count)
     points = []
     for risk, wait, seq, count in zip(front.risks, front.waits, front.seqs, front.counts):
         evaluation = evaluate(Route(seq), scenario, drone, motion=motion, check=False)
@@ -289,18 +387,19 @@ def min_avg_risk_sweep(
         for n_d in d_values:
             scenario = abstract_scenario(n, n_d)
             _check_guards(scenario, n_d)
+            # Per peak payload, the least risk sum; the average is that sum over n.
             best_by_peak: dict[int, tuple[int, int]] = {}
-            for seq in _sequences(scenario, min(c_max, n), n_d):
-                nums, dens, peak = _run_recurrence(seq, scenario)
-                nu, de = _average_pair(nums, dens)
-                cur = best_by_peak.get(peak)
+            state = _RouteState()
+            for _ in _sequences(scenario, min(c_max, n), n_d, state=state):
+                nu, de = state.risk_sum
+                cur = best_by_peak.get(state.peak)
                 if cur is None or nu * cur[1] < cur[0] * de:
-                    best_by_peak[peak] = (nu, de)
+                    best_by_peak[state.peak] = state.risk_sum
             for c in c_values:
                 best: tuple[int, int] | None = None
                 for peak, (nu, de) in best_by_peak.items():
                     if peak <= c and (best is None or nu * best[1] < best[0] * de):
                         best = (nu, de)
-                table[(n, c, n_d)] = Fraction(*best)
+                table[(n, c, n_d)] = Fraction(best[0], best[1] * n)
     return table
 

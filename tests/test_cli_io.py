@@ -225,6 +225,15 @@ _MALFORMED_SCENARIOS = {
     "infinite-stop-duration": _one_order_file(lambda d: d["motion"].update(stop_duration_s=float("inf"))),
     "motion-without-speed": _one_order_file(lambda d: d["motion"].pop("speed_mps")),
     "motion-not-an-object": _one_order_file(lambda d: d.update(motion=20.0)),
+    "fractional-vendor-id": _one_order_file(
+        lambda d: (d["vendors"][0].update(id=1.7), d["customers"][0].update(vendor_id=1.7))),
+    "fractional-customer-id": _one_order_file(lambda d: d["customers"][0].update(id=1.7)),
+    "boolean-vendor-id": _one_order_file(
+        lambda d: (d["vendors"][0].update(id=True), d["customers"][0].update(vendor_id=True))),
+    "string-decoy-flag": _one_order_file(
+        lambda d: d["vendors"].append({"id": 2, "x": 0.0, "y": 0.0, "decoy": "false"})),
+    "numeric-decoy-flag": _one_order_file(
+        lambda d: d["vendors"].append({"id": 2, "x": 0.0, "y": 0.0, "decoy": 1})),
 }
 
 

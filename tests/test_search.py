@@ -1,13 +1,16 @@
 """Route enumeration, evaluation, Pareto fronts, and risk sweeps."""
 
 import math
+from array import array
 from fractions import Fraction as F
+from itertools import zip_longest
 
 import pytest
 
 from droneprivacy import (
     DroneSpec,
     GuardError,
+    MotionModel,
     ParetoAccumulator,
     Stop,
     abstract_scenario,
@@ -17,10 +20,14 @@ from droneprivacy import (
     min_avg_risk_sweep,
     pareto_front,
     parse_route,
+    privacy_risks,
     route_count_upper_bound,
+    Route,
     unit_square_fixture,
     UNIT_FIXTURE_MOTION,
+    wait_times,
 )
+from droneprivacy.search import _RouteState, _sequences
 from conftest import brute_force_routes
 
 
@@ -62,6 +69,24 @@ def test_stream_is_deterministic_and_lexicographic():
     assert first == second
     keys = [tuple(s.sort_key for s in stops) for stops in first]
     assert keys == sorted(keys)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_enumeration_follows_route_sort_key_order(n):
+    """Routes come in strictly increasing sort_key order, every one of them at capacity n.
+
+    pareto_front relies on it: the first route it meets with a given objective vector is the smallest.
+    """
+    for budget in range(3):
+        scenario = abstract_scenario(n, n_decoys=budget)
+        for capacity in range(1, n + 1):
+            previous, count = None, 0
+            for route in enumerate_routes(scenario, DroneSpec(capacity), budget):
+                key = route.sort_key
+                assert previous is None or previous < key
+                previous, count = key, count + 1
+            if capacity == n:
+                assert count == route_count_upper_bound(n, budget)
 
 
 def test_decoy_enumeration_exact_stream():
@@ -190,6 +215,88 @@ def test_pareto_front_matches_the_per_route_path(n, budget, objective):
             assert [p.evaluation.avg_wait.hex() for p in front.points] == [w.hex() for w in acc.waits]
             assert [p.evaluation.route.stops for p in front.points] == acc.seqs
             assert [p.multiplicity for p in front.points] == acc.counts
+
+
+def _max_load(stops):
+    load = peak = 0
+    for stop in stops:
+        load += {"v": 1, "d": 0, "a": -1}[stop.kind]
+        peak = max(peak, load)
+    return peak
+
+
+def _walk(scenario, capacity, budget, motion):
+    """Every route the walker yields, with the state it carries for it."""
+    state = _RouteState()
+    for seq in _sequences(scenario, capacity, budget, motion, state):
+        yield seq, (state.risk_sum, state.worst, state.peak, state.avg_wait)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_walker_state_and_sweep_match_the_per_route_path(n):
+    """At every route, the state the walker carries equals a rescan by the public per-route functions.
+
+    Risks must equal privacy_risks' Fractions, waits must be bit-equal to wait_times' average (which
+    is evaluate's avg_wait), and the peak must be the route's largest load.  The full walk (capacity
+    n, budget 2) is checked route by route on the tie-heavy grid and on a generated map.  On the
+    generated map, every smaller capacity and budget must then yield the states of exactly the full
+    walk's routes that fit it, in the same order (which routes those are is checked by the
+    enumeration tests above).  The same per-route risks give the brute-force minima that every
+    min_avg_risk_sweep cell (n, c <= 4, d <= 2) must equal: the routes of abstract_scenario(n, d)
+    are the grid's routes whose decoy ids are all at most d.
+    """
+    motion = MotionModel()
+    grid, spread = abstract_scenario(n, n_decoys=2), generate("uniform", n, n_decoys=2, seed=n)
+    fingerprints = array("q")  # hash of the state on the generated map, in full-walk order
+    fits = []  # (peak, decoys used) per route of the full walk
+    least: dict[tuple[int, int], F] = {}  # (peak, largest decoy id used) -> least average risk
+    full_walks = zip_longest(_walk(grid, n, 2, motion), _walk(spread, n, 2, motion))
+    for (seq, on_grid), (other, on_spread) in full_walks:
+        assert seq == other
+        route = Route(seq)
+        report = privacy_risks(route, grid, check=False)
+        (sum_nu, sum_de), (worst_nu, worst_de), peak, wait = on_grid
+        assert F(sum_nu, sum_de * n) == report.average
+        assert F(worst_nu, worst_de) == report.worst_case
+        assert peak == _max_load(seq)
+        assert wait.hex() == wait_times(route, grid, motion, check=False).average.hex()
+        assert on_spread[:3] == on_grid[:3]
+        assert on_spread[3].hex() == wait_times(route, spread, motion, check=False).average.hex()
+        fingerprints.append(hash(on_spread))
+        decoy_ids = [stop.sid for stop in seq if stop.kind == "d"]
+        fits.append((peak, len(decoy_ids)))
+        key = (peak, max(decoy_ids, default=0))
+        least[key] = min(report.average, least.get(key, report.average))
+    assert len(fingerprints) == route_count_upper_bound(n, 2)
+
+    for capacity in range(1, n + 1):
+        for budget in range(3 if capacity < n else 2):
+            expected = [
+                h for h, (peak, used) in zip(fingerprints, fits) if peak <= capacity and used <= budget
+            ]
+            got = [hash(state) for _, state in _walk(spread, capacity, budget, motion)]
+            assert got == expected, (capacity, budget)
+
+    table = min_avg_risk_sweep([n], range(1, 5), range(3))
+    for c in range(1, 5):
+        for n_d in range(3):
+            brute = min(risk for (peak, top_decoy), risk in least.items() if peak <= c and top_decoy <= n_d)
+            assert table[(n, c, n_d)] == brute, (c, n_d)
+
+
+def test_walker_state_matches_the_per_route_path_on_every_n5_route():
+    scenario = generate("uniform", 5, seed=11)
+    drone = DroneSpec(capacity=3)
+    count = 0
+    for seq, state in _walk(scenario, 3, 0, MotionModel()):
+        e = evaluate(Route(seq), scenario, drone, check=False)
+        (sum_nu, sum_de), (worst_nu, worst_de), peak, wait = state
+        assert F(sum_nu, sum_de * 5) == e.avg_risk
+        assert F(worst_nu, worst_de) == e.worst_risk
+        assert wait.hex() == e.avg_wait.hex()
+        assert peak == _max_load(seq)
+        count += 1
+    assert count == 52920
 
 
 def test_pareto_rejects_bad_objectives():

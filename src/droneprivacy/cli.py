@@ -30,7 +30,7 @@ from .io import (
     write_sweep_csv,
 )
 from .model import DroneSpec, parse_route
-from .observer import enumerate_worlds, posterior_matrix
+from .observer import posterior_matrix
 from .search import evaluate, min_avg_risk_sweep, pareto_front
 
 EXIT_OK = 0
@@ -181,11 +181,10 @@ def cmd_oracle(args) -> int:
     sf = load_scenario(args.scenario)
     route = parse_route(args.route)
     posterior = posterior_matrix(route, sf.scenario)
-    worlds = enumerate_worlds(route, sf.scenario)
     print("columns: " + " ".join(s.token for s in posterior.vendor_stops))
     for cid, row in zip(posterior.customer_ids, posterior.rows):
         print(f"a{cid}: " + " ".join(format_fraction(p) for p in row))
-    print(f"worlds: {len(worlds)}")
+    print(f"worlds: {posterior.worlds}")
     return EXIT_OK
 
 

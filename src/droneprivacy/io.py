@@ -61,10 +61,13 @@ def scenario_file_to_dict(sf: ScenarioFile) -> dict:
 
 
 def _integral(value) -> int:
-    """An id from a scenario file: an integer, or a number or string that is one; never a bool."""
+    """A scenario file id: a non-negative integer, or a number or string that is one; never a bool."""
     if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
         raise ValueError(f"scenario ids must be integers, got {value!r}")
-    return int(value)
+    number = int(value)
+    if number < 0:  # no route stop can name a negative id
+        raise ValueError(f"scenario ids must be non-negative, got {value!r}")
+    return number
 
 
 def _flag(value) -> bool:
@@ -77,8 +80,8 @@ def scenario_file_from_dict(data) -> ScenarioFile:
     """Build a scenario file from parsed JSON; the one boundary check for scenario files.
 
     Any malformed input (a non-object top level, a missing key, a non-numeric
-    or non-finite coordinate or motion value, a fractional id, a decoy flag
-    that is not a JSON boolean, ...) raises ``ValueError``.
+    or non-finite coordinate or motion value, a fractional or negative id, a
+    decoy flag that is not a JSON boolean, ...) raises ``ValueError``.
     """
     if not isinstance(data, dict):
         raise ValueError(f"a scenario file must hold a JSON object, not {type(data).__name__}")

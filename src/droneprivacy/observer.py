@@ -48,6 +48,8 @@ class PosteriorMatrix:
     customer_ids: tuple[int, ...]
     vendor_stops: tuple[Stop, ...]
     rows: tuple[tuple[Fraction, ...], ...]
+    worlds: int
+    """Number of complete observer branches (worlds) the posterior sums over."""
 
     @property
     def n_orders(self) -> int:
@@ -66,57 +68,106 @@ def _guard_items(route: Route, scenario: Scenario) -> None:
 def enumerate_worlds(route: Route, scenario: Scenario, *, check: bool = True) -> tuple[ObserverWorld, ...]:
     """All observer worlds for a route, with exact probabilities summing to 1.
 
-    Worlds that make identical drop assignments are merged by summing their
-    branch probabilities.
+    Each complete branch is one world: a valid route visits each vendor and
+    decoy once, so no two branches make the same drop assignment.  The route
+    fixes the payload size at every drop, so each of the D branches has
+    probability ``1 / D``, where D is the product of those sizes.  Worlds come
+    in ascending order of their assignments' ``(customer id, item sort key)``
+    lists, because the walk keeps the payload in sort-key order.
     """
     if check:
         require_valid(route, scenario)
     _guard_items(route, scenario)
 
     stops = route.stops
-    merged: dict[tuple[tuple[int, Stop], ...], Fraction] = {}
+    branches: list[tuple[tuple[int, Stop], ...]] = []
     assignment: list[tuple[int, Stop]] = []
 
-    def walk(idx: int, payload: tuple[Stop, ...], denominator: int) -> None:
+    def walk(idx: int, payload: tuple[Stop, ...]) -> None:
         if idx == len(stops):
-            key = tuple(assignment)
-            prob = Fraction(1, denominator)
-            merged[key] = merged.get(key, Fraction(0)) + prob
+            branches.append(tuple(assignment))
             return
         stop = stops[idx]
         if stop.is_vendor:
-            walk(idx + 1, payload + (stop,), denominator)
+            walk(idx + 1, tuple(sorted(payload + (stop,), key=_item_key)))
             return
-        size = len(payload)
-        for j in range(size):
-            assignment.append((stop.sid, payload[j]))
-            walk(idx + 1, payload[:j] + payload[j + 1:], denominator * size)
+        for j, item in enumerate(payload):
+            assignment.append((stop.sid, item))
+            walk(idx + 1, payload[:j] + payload[j + 1:])
             assignment.pop()
 
-    walk(0, (), 1)
-    worlds = tuple(
-        ObserverWorld(assignment=key, probability=prob)
-        for key, prob in sorted(merged.items(), key=lambda kv: [(c, s.sort_key) for c, s in kv[0]])
-    )
-    return worlds
+    walk(0, ())
+    if not branches:  # an unchecked route that drops from an empty payload
+        return ()
+    probability = Fraction(1, len(branches))
+    return tuple(ObserverWorld(assignment=key, probability=probability) for key in branches)
+
+
+def _item_key(stop: Stop) -> tuple[int, int]:
+    return stop.sort_key
 
 
 def posterior_matrix(route: Route, scenario: Scenario, *, check: bool = True) -> PosteriorMatrix:
-    """Marginalize the observer worlds into per-order vendor distributions."""
-    worlds = enumerate_worlds(route, scenario, check=check)
-    order_of_customer = scenario.order_index
+    """Marginalize the observer worlds into per-order vendor distributions.
+
+    One walk over every branch, every item aboard (phantoms included) at
+    every drop, as :func:`enumerate_worlds` makes them, but with integer
+    weights: every complete branch has probability ``1 / D`` (see there), so
+    choosing an item at a drop stands for the complete branches below it,
+    the product of the later drops' payload sizes.  The walk adds that weight
+    to the cell (drop's order, item's column) and divides each cell by D once
+    at the end.
+    """
+    if check:
+        require_valid(route, scenario)
+    _guard_items(route, scenario)
     columns: list[Stop] = [Stop("v", vendor.id) for vendor, _ in scenario.orders]
     columns += [Stop("d", d.id) for d in sorted(scenario.decoy_vendors, key=lambda v: v.id)]
     col_index = {stop: j for j, stop in enumerate(columns)}
-    n, m = scenario.n, len(columns)
-    cells = [[Fraction(0)] * m for _ in range(n)]
-    for world in worlds:
-        for customer_id, item in world.assignment:
-            cells[order_of_customer[customer_id]][col_index[item]] += world.probability
+    order_of_customer = scenario.order_index
+    cells = [[0] * len(columns) for _ in range(scenario.n)]
+
+    # Per drop: the columns picked up since the previous drop, the drop's row
+    # of cells and the payload size there.
+    loads: list[tuple[int, ...]] = []
+    rows: list[list[int]] = []
+    sizes: list[int] = []
+    picked: list[int] = []
+    aboard = 0
+    for stop in route.stops:
+        if stop.is_vendor:
+            picked.append(col_index[stop])
+            aboard += 1
+            continue
+        loads.append(tuple(picked))
+        picked.clear()
+        rows.append(cells[order_of_customer[stop.sid]])
+        sizes.append(aboard)
+        aboard -= 1
+    weights = [0] * len(sizes)
+    worlds = 1
+    for k in reversed(range(len(sizes))):
+        weights[k] = worlds
+        worlds *= sizes[k]
+    last = len(sizes) - 1
+
+    def walk(k: int, payload: tuple[int, ...]) -> None:
+        payload += loads[k]
+        row, weight = rows[k], weights[k]
+        for col in payload:
+            row[col] += weight
+        if k < last:
+            for j in range(len(payload)):
+                walk(k + 1, payload[:j] + payload[j + 1:])
+
+    if sizes:
+        walk(0, ())
+    denominator = worlds or 1  # no complete branch (an unchecked route): every cell stays 0
     return PosteriorMatrix(
         customer_ids=tuple(c.id for c in scenario.customers),
         vendor_stops=tuple(columns),
-        rows=tuple(tuple(row) for row in cells),
+        rows=tuple(tuple(Fraction(count, denominator) for count in row) for row in cells),
+        worlds=worlds,
     )
 
 

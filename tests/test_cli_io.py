@@ -234,6 +234,13 @@ _MALFORMED_SCENARIOS = {
         lambda d: d["vendors"].append({"id": 2, "x": 0.0, "y": 0.0, "decoy": "false"})),
     "numeric-decoy-flag": _one_order_file(
         lambda d: d["vendors"].append({"id": 2, "x": 0.0, "y": 0.0, "decoy": 1})),
+    "negative-vendor-id": _one_order_file(
+        lambda d: (d["vendors"][0].update(id=-1), d["customers"][0].update(vendor_id=-1))),
+    "negative-customer-id": _one_order_file(lambda d: d["customers"][0].update(id=-1)),
+    "negative-decoy-id": _one_order_file(
+        lambda d: d["vendors"].append({"id": -2, "x": 0.0, "y": 0.0, "decoy": True})),
+    "negative-string-vendor-id": _one_order_file(
+        lambda d: (d["vendors"][0].update(id="-1"), d["customers"][0].update(vendor_id="-1"))),
 }
 
 
@@ -257,3 +264,5 @@ def test_cli_malformed_scenario_file_exits_3_without_traceback(tmp_path, case):
     assert proc.returncode == 3, proc.stderr
     assert "Traceback" not in proc.stderr
     assert proc.stderr.startswith("error: ")
+    if case.startswith("negative-"):  # refused at load, not later by a route stop that cannot name the site
+        assert "scenario ids must be non-negative" in proc.stderr

@@ -1,15 +1,22 @@
 """Observer oracle: world enumeration and posterior marginals."""
 
+import random
 from fractions import Fraction as F
 
 import pytest
 
 from droneprivacy import (
+    CustomerSite,
+    DroneSpec,
     GuardError,
     Route,
+    Scenario,
     Stop,
+    VendorSite,
     abstract_scenario,
+    enumerate_routes,
     enumerate_worlds,
+    generate,
     parse_route,
     posterior_matrix,
     privacy_risks,
@@ -109,12 +116,13 @@ def test_world_probabilities_sum_to_one_and_count_branches(tokens, n, n_d):
     worlds = enumerate_worlds(route, scenario)
     assert sum(w.probability for w in worlds) == 1
     # every branch sequence has probability 1 / (product of payload sizes at
-    # drops); merged worlds must account for exactly that many branches
+    # drops); the worlds must account for exactly that many branches
     branch_count = 1
     for size in drop_payload_sizes(route, scenario):
         branch_count *= size
     merged_branches = sum(w.probability * branch_count for w in worlds)
     assert merged_branches == branch_count
+    assert len(worlds) == branch_count  # no two branches make the same assignment
     assert all((w.probability * branch_count).denominator == 1 for w in worlds)
 
 
@@ -161,3 +169,88 @@ def test_size_guard_allows_ten_items_on_a_cheap_route():
 def test_invalid_route_rejected():
     with pytest.raises(ValueError):
         enumerate_worlds(parse_route("a1,v1"), abstract_scenario(1))
+
+
+def _posterior_by_summing_worlds(worlds, scenario):
+    """Reference marginalization: add each world's Fraction to the cells its assignment names."""
+    columns = [Stop("v", vendor.id) for vendor, _ in scenario.orders]
+    columns += [Stop("d", d.id) for d in sorted(scenario.decoy_vendors, key=lambda v: v.id)]
+    column_of = {stop: j for j, stop in enumerate(columns)}
+    cells = [[F(0)] * len(columns) for _ in range(scenario.n)]
+    for world in worlds:
+        for customer_id, item in world.assignment:
+            cells[scenario.order_index[customer_id]][column_of[item]] += world.probability
+    return tuple(columns), tuple(tuple(row) for row in cells)
+
+
+def _relabeled(scenario, rng):
+    """The same map and orders under random ids, with the customer list shuffled."""
+    orders = scenario.orders
+    vendor_ids = rng.sample(range(20), len(orders))
+    customer_ids = rng.sample(range(20), len(orders))
+    decoy_ids = rng.sample(range(20), scenario.n_decoys)
+    vendors = [VendorSite(vid, v.x, v.y) for vid, (v, _) in zip(vendor_ids, orders)]
+    vendors += [VendorSite(did, d.x, d.y, decoy=True) for did, d in zip(decoy_ids, scenario.decoy_vendors)]
+    customers = [
+        CustomerSite(cid, c.x, c.y, vid) for cid, vid, (_, c) in zip(customer_ids, vendor_ids, orders)
+    ]
+    rng.shuffle(customers)
+    return Scenario(vendors=tuple(vendors), customers=tuple(customers))
+
+
+def _random_route(scenario, capacity, rng):
+    """A random valid route: each step picks up (below capacity), visits a new decoy or drops an item."""
+    pending = [(vendor.id, customer.id) for vendor, customer in scenario.orders]
+    decoys = [d.id for d in scenario.decoy_vendors]
+    aboard, stops = [], []
+    while pending or aboard:
+        choices = [("v", i) for i in range(len(pending))] if len(aboard) < capacity else []
+        choices += [("d", i) for i in range(len(decoys))]
+        choices += [("a", i) for i in range(len(aboard))]
+        kind, i = rng.choice(choices)
+        if kind == "v":
+            vendor_id, customer_id = pending.pop(i)
+            aboard.append(customer_id)
+            stops.append(Stop("v", vendor_id))
+        elif kind == "d":
+            stops.append(Stop("d", decoys.pop(i)))
+        else:
+            stops.append(Stop("a", aboard.pop(i)))
+    return Route(tuple(stops))
+
+
+def _structural_cases():
+    for n in range(1, 4):
+        for budget in range(3):
+            scenario = abstract_scenario(n, n_decoys=budget)
+            for route in enumerate_routes(scenario, DroneSpec(capacity=n), budget):
+                yield route, scenario
+
+
+def _random_cases(count=200):
+    rng = random.Random(20221018)
+    topologies = ("uniform", "two_clusters", "hub_spoke", "linear")
+    for k in range(count):
+        n, n_decoys = rng.choice((5, 6)), rng.choice((1, 2))
+        scenario = _relabeled(generate(topologies[k % 4], n, n_decoys, seed=k), rng)
+        yield _random_route(scenario, rng.randint(1, 3), rng), scenario
+
+
+@pytest.mark.parametrize("cases", [_structural_cases, _random_cases], ids=["abstract-n-le-3", "random-n5-6"])
+def test_posterior_matches_the_summed_worlds(cases):
+    checked = 0
+    for route, scenario in cases():
+        worlds = enumerate_worlds(route, scenario)
+        keys = [[(c, item.sort_key) for c, item in w.assignment] for w in worlds]
+        assert keys == sorted(keys)
+        assert len(set(map(tuple, keys))) == len(keys)
+        probability = F(1, len(worlds))
+        assert all(w.probability == probability for w in worlds)
+        posterior = posterior_matrix(route, scenario)
+        columns, rows = _posterior_by_summing_worlds(worlds, scenario)
+        assert posterior.vendor_stops == columns, route.tokens
+        assert posterior.rows == rows, route.tokens
+        assert posterior.worlds == len(worlds), route.tokens
+        assert posterior.customer_ids == tuple(c.id for c in scenario.customers)
+        checked += 1
+    assert checked >= 200

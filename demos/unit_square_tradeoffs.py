@@ -9,7 +9,6 @@ front keeps both routes.
 
 from droneprivacy import (
     DroneSpec,
-    UNIT_FIXTURE_MOTION,
     evaluate,
     pareto_front,
     parse_route,
@@ -29,10 +28,10 @@ def main():
         for c in fixture.customers:
             print(f"  a{c.id} at ({c.x:g}, {c.y:g})")
         for tokens in ROUTES:
-            e = evaluate(parse_route(tokens), fixture, drone, motion=UNIT_FIXTURE_MOTION)
+            e = evaluate(parse_route(tokens), fixture, drone)
             print(f"  {tokens:<12} avg risk {str(e.avg_risk):>3}  waits "
                   f"{tuple(round(w, 3) for w in e.waits)}  avg wait {e.avg_wait:.3f}")
-        front = pareto_front(fixture, drone, motion=UNIT_FIXTURE_MOTION)
+        front = pareto_front(fixture, drone)
         print(f"  exact front over all {front.total_routes} routes:")
         for point in front.points:
             e = point.evaluation

@@ -9,12 +9,13 @@ to stderr.  Exit codes: 0 success, 2 usage error, 3 validation or data error,
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import re
 import sys
 
 from . import fixtures as fixture_checks
 from .errors import GuardError
-from .geometry import MotionModel, generate
+from .geometry import generate
 from .heuristics import (
     HeuristicParams,
     instantiate_template,
@@ -29,7 +30,7 @@ from .io import (
     write_front_csv,
     write_sweep_csv,
 )
-from .model import DroneSpec, parse_route
+from .model import DroneSpec, MotionModel, parse_route
 from .observer import posterior_matrix
 from .search import evaluate, min_avg_risk_sweep, pareto_front
 
@@ -68,6 +69,12 @@ def build_parser() -> argparse.ArgumentParser:
         description="Privacy-risk analysis and privacy-aware routing for drone package delivery.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    drone_flags = argparse.ArgumentParser(add_help=False)
+    drone_flags.add_argument("--capacity", type=int, required=True)
+    drone_flags.add_argument("--speed", type=float, help="cruise speed m/s "
+                             f"(default: the scenario file's, else {MotionModel.speed:g})")
+    drone_flags.add_argument("--stop-duration", type=float, help="seconds per stop "
+                             f"(default: the scenario file's, else {MotionModel.stop_duration:g})")
 
     gen = sub.add_parser("gen", help="generate a scenario file")
     gen.add_argument("--topology", required=True,
@@ -87,35 +94,28 @@ def build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--name")
     gen.add_argument("--out", required=True)
 
-    ev = sub.add_parser("eval", help="evaluate one route: exact risks plus waits")
+    ev = sub.add_parser("eval", parents=[drone_flags], help="evaluate one route: exact risks plus waits")
     ev.add_argument("--scenario", required=True)
     ev.add_argument("--route", required=True, help='comma-separated stops, e.g. "v1,v2,a2,v3,a3,a1"')
-    ev.add_argument("--capacity", type=int, required=True)
-    ev.add_argument("--speed", type=float, help="override motion speed (m/s)")
-    ev.add_argument("--stop-duration", type=float, help="override seconds per stop")
 
     orc = sub.add_parser("oracle", help="dump the observer posterior for one route")
     orc.add_argument("--scenario", required=True)
     orc.add_argument("--route", required=True)
 
-    heu = sub.add_parser("heuristic", help="instantiate a heuristic route and evaluate it")
+    heu = sub.add_parser("heuristic", parents=[drone_flags],
+                         help="instantiate a heuristic route and evaluate it")
     heu.add_argument("--scenario", required=True)
     heu.add_argument("--kind", required=True, choices=["split", "reversal", "stuffing"])
     heu.add_argument("--k", type=int)
     heu.add_argument("--l", type=int)
     heu.add_argument("--c", type=int)
-    heu.add_argument("--capacity", type=int, required=True)
-    heu.add_argument("--speed", type=float)
-    heu.add_argument("--stop-duration", type=float)
 
-    par = sub.add_parser("pareto", help="enumerate all routes and emit the Pareto front as CSV")
+    par = sub.add_parser("pareto", parents=[drone_flags],
+                         help="enumerate all routes and emit the Pareto front as CSV")
     par.add_argument("--scenario", required=True)
-    par.add_argument("--capacity", type=int, required=True)
     par.add_argument("--decoy-budget", type=int, default=0)
     par.add_argument("--objectives", type=_parse_objectives, default=("avg_risk", "avg_wait"),
                      help="'avg-risk,avg-wait' (default) or 'worst-risk,avg-wait'")
-    par.add_argument("--speed", type=float)
-    par.add_argument("--stop-duration", type=float)
     par.add_argument("--out", help="CSV path (default: stdout)")
 
     sw = sub.add_parser("sweep", help="minimum average risk per (n, capacity, decoys) cell")
@@ -128,11 +128,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _motion_for(args, scenario_file: ScenarioFile, drone: DroneSpec) -> MotionModel:
-    base = scenario_file.motion or MotionModel(speed=drone.speed, stop_duration=drone.stop_duration)
-    speed = args.speed if getattr(args, "speed", None) is not None else base.speed
-    stop = args.stop_duration if getattr(args, "stop_duration", None) is not None else base.stop_duration
-    return MotionModel(speed=speed, stop_duration=stop)
+def _motion_flags(args, base):
+    """``base`` (a motion model or a drone) with the ``--speed`` and ``--stop-duration`` values given."""
+    given = {key: getattr(args, key) for key in ("speed", "stop_duration") if getattr(args, key) is not None}
+    return dataclasses.replace(base, **given)
+
+
+def _drone_for(args, scenario_file: ScenarioFile) -> DroneSpec:
+    """``--capacity``; speed and stop time from the flag, else the file's motion block, else the default."""
+    motion = scenario_file.motion or MotionModel()
+    return _motion_flags(args, DroneSpec(args.capacity, motion.speed, motion.stop_duration))
 
 
 def _print_risks_and_waits(evaluation) -> None:
@@ -153,11 +158,7 @@ def cmd_gen(args) -> int:
     scenario = generate(args.topology, args.n, args.decoys, args.seed, args.extent, **params)
     motion = None
     if args.speed is not None or args.stop_duration is not None:
-        default = MotionModel()
-        motion = MotionModel(
-            speed=args.speed if args.speed is not None else default.speed,
-            stop_duration=args.stop_duration if args.stop_duration is not None else default.stop_duration,
-        )
+        motion = _motion_flags(args, MotionModel())
     name = args.name or f"{args.topology}-n{args.n}-d{args.decoys}-seed{args.seed}"
     save_scenario(ScenarioFile(scenario=scenario, name=name, motion=motion), args.out)
     print(f"wrote {args.out}: {name} ({scenario.n} orders, {scenario.n_decoys} decoys)",
@@ -168,9 +169,7 @@ def cmd_gen(args) -> int:
 def cmd_eval(args) -> int:
     sf = load_scenario(args.scenario)
     route = parse_route(args.route)
-    drone = DroneSpec(capacity=args.capacity)
-    motion = _motion_for(args, sf, drone)
-    evaluation = evaluate(route, sf.scenario, drone, motion=motion)
+    evaluation = evaluate(route, sf.scenario, _drone_for(args, sf))
     print(f"scenario: {sf.name} (n={sf.scenario.n}, decoys={sf.scenario.n_decoys})")
     print(f"route: {route.tokens}")
     _print_risks_and_waits(evaluation)
@@ -193,10 +192,9 @@ def cmd_heuristic(args) -> int:
     n = sf.scenario.n
     params = HeuristicParams(args.kind, n, k=args.k, l=args.l, c=args.c)
     template = template_for(params)
-    drone = DroneSpec(capacity=args.capacity)
+    drone = _drone_for(args, sf)
     route = instantiate_template(template, sf.scenario, drone)
-    motion = _motion_for(args, sf, drone)
-    evaluation = evaluate(route, sf.scenario, drone, motion=motion, tag=params.label)
+    evaluation = evaluate(route, sf.scenario, drone, tag=params.label)
     exact = ordering_search_is_exact(template)
     print(f"heuristic: {params.label} (required capacity {params.required_capacity})")
     print(f"route: {route.tokens}")
@@ -207,12 +205,8 @@ def cmd_heuristic(args) -> int:
 
 def cmd_pareto(args) -> int:
     sf = load_scenario(args.scenario)
-    drone = DroneSpec(capacity=args.capacity)
-    motion = _motion_for(args, sf, drone)
-    front = pareto_front(
-        sf.scenario, drone, objectives=args.objectives,
-        decoy_budget=args.decoy_budget, motion=motion,
-    )
+    front = pareto_front(sf.scenario, _drone_for(args, sf), objectives=args.objectives,
+                         decoy_budget=args.decoy_budget)
     print(f"{front.total_routes} routes enumerated, {len(front.points)} on the front",
           file=sys.stderr)
     write_front_csv(front, sf.scenario, args.capacity, args.decoy_budget, args.out or sys.stdout)

@@ -13,24 +13,9 @@ from typing import Literal, Sequence
 
 import numpy as np
 
-from .model import CustomerSite, Route, Scenario, Stop, VendorSite, require_valid
+from .model import CustomerSite, DroneSpec, MotionModel, Route, Scenario, Stop, VendorSite, require_valid
 
 Topology = Literal["uniform", "two_clusters", "hub_spoke", "linear"]
-
-
-@dataclass(frozen=True)
-class MotionModel:
-    """Travel model: constant speed, fixed per-stop service time, Euclidean legs."""
-
-    speed: float = 20.0
-    stop_duration: float = 60.0
-
-    def __post_init__(self):
-        if self.speed <= 0:
-            raise ValueError("speed must be positive")
-        if self.stop_duration < 0:
-            raise ValueError("stop duration must be non-negative")
-
 
 UNIT_FIXTURE_MOTION = MotionModel(speed=1.0, stop_duration=0.0)
 """Motion used with the unit-square fixtures: time equals distance traveled."""
@@ -45,13 +30,15 @@ class WaitReport:
     customer_ids: tuple[int, ...]
 
 
-def wait_times(route: Route, scenario: Scenario, motion: MotionModel, *, check: bool = True) -> WaitReport:
+def wait_times(route: Route, scenario: Scenario, motion: MotionModel | DroneSpec, *,
+               check: bool = True) -> WaitReport:
     """Wait of each customer: elapsed time from the route's first stop.
 
     The clock starts at zero at the first stop (no depot leg).  Every stop
     completed before reaching a customer contributes ``stop_duration``; every
     leg contributes ``distance / speed``.  A customer's own service time is
-    not part of its wait.
+    not part of its wait.  ``motion`` is a :class:`MotionModel` or a drone,
+    which carries the same two numbers.
     """
     if check:
         require_valid(route, scenario)
@@ -63,7 +50,7 @@ def wait_times(route: Route, scenario: Scenario, motion: MotionModel, *, check: 
     )
 
 
-def order_waits(stops: Sequence[Stop], scenario: Scenario, motion: MotionModel) -> list[float]:
+def order_waits(stops: Sequence[Stop], scenario: Scenario, motion: MotionModel | DroneSpec) -> list[float]:
     """The travel clock over a valid stop sequence: each order's wait, by order position."""
     xy = scenario.coords
     order_of_customer = scenario.order_index
@@ -80,7 +67,9 @@ def order_waits(stops: Sequence[Stop], scenario: Scenario, motion: MotionModel) 
     return waits
 
 
-def leg_times(stops: Sequence[Stop], scenario: Scenario, motion: MotionModel) -> list[list[float]]:
+def leg_times(
+    stops: Sequence[Stop], scenario: Scenario, motion: MotionModel | DroneSpec
+) -> list[list[float]]:
     """Clock increment between every pair of ``stops``: ``table[i][j]`` is the term
     :func:`order_waits` adds for a leg from ``stops[i]`` to ``stops[j]``, bit for bit."""
     points = [scenario.coords[stop.kind, stop.sid] for stop in stops]

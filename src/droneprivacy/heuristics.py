@@ -199,14 +199,13 @@ def required_template_capacity(template: RouteTemplate) -> int:
     return peak
 
 
-def ordering_search_is_exact(template: RouteTemplate, limit: int = EXHAUSTIVE_ORDERING_LIMIT) -> bool:
+def _joint_orderings(template: RouteTemplate) -> int:
+    return math.prod(math.factorial(size) for size in template.group_sizes)
+
+
+def ordering_search_is_exact(template: RouteTemplate) -> bool:
     """Whether instantiation will search all joint within-group orderings."""
-    count = 1
-    for size in template.group_sizes:
-        count *= math.factorial(size)
-        if count > limit:
-            return False
-    return True
+    return _joint_orderings(template) <= EXHAUSTIVE_ORDERING_LIMIT
 
 
 def instantiate_template(
@@ -215,19 +214,21 @@ def instantiate_template(
     drone: DroneSpec,
     *,
     relabel: bool = False,
-    exhaustive_limit: int = EXHAUSTIVE_ORDERING_LIMIT,
 ) -> Route:
     """Bind a template to a scenario and pick travel-minimizing group orderings.
 
     Template indices are abstract: ``v3``/``a3`` mean the vendor/customer of
     the scenario's third order (and ``d2`` its second decoy).  When the joint
-    ordering count is at most ``exhaustive_limit`` the returned flattening has
-    exactly minimal total travel; otherwise a nearest-neighbor pass is used
-    (check :func:`ordering_search_is_exact`).  Ties always go to the
+    ordering count is at most ``EXHAUSTIVE_ORDERING_LIMIT`` the returned
+    flattening has exactly minimal total travel; otherwise a nearest-neighbor
+    pass is used (check :func:`ordering_search_is_exact`).  Ties always go to the
     lexicographically smallest stop sequence, so results are reproducible.
 
     With ``relabel=True`` the abstract-to-scenario order assignment itself is
-    also searched (all ``n!`` relabelings, guarded to ``n <= 8``).
+    also searched (all ``n!`` relabelings).  That search raises
+    :class:`GuardError` when ``n!`` times the work per assignment (the joint
+    ordering count if the search is exact, else stops squared for the
+    nearest-neighbor pass) exceeds ``EXHAUSTIVE_ORDERING_LIMIT``.
     """
     if required_template_capacity(template) > drone.capacity:
         raise ValueError(
@@ -242,12 +243,16 @@ def instantiate_template(
                 raise ValueError(f"template stop {stop.token} has no counterpart in the scenario")
 
     if not relabel:
-        return _instantiate_with_mapping(template, scenario, tuple(range(n)), exhaustive_limit)
+        return _instantiate_with_mapping(template, scenario, tuple(range(n)))
 
-    if n > 8:
-        raise GuardError(f"relabeling search over {n}! order assignments refused (n <= 8)")
+    stops = sum(template.group_sizes)
+    per_mapping = _joint_orderings(template) if ordering_search_is_exact(template) else stops**2
+    work = math.factorial(n) * per_mapping
+    if work > EXHAUSTIVE_ORDERING_LIMIT:
+        raise GuardError(f"relabeling search over {n}! order assignments refused: about {work:,} "
+                         f"flattenings (limit {EXHAUSTIVE_ORDERING_LIMIT:,})")
     routes = (
-        _instantiate_with_mapping(template, scenario, mapping, exhaustive_limit)
+        _instantiate_with_mapping(template, scenario, mapping)
         for mapping in itertools.permutations(range(n))
     )
     return min(routes, key=lambda route: (travel_length(route.stops, scenario), route.sort_key))
@@ -265,13 +270,12 @@ def _instantiate_with_mapping(
     template: RouteTemplate,
     scenario: Scenario,
     mapping: tuple[int, ...],
-    exhaustive_limit: int,
 ) -> Route:
     groups = [
         sorted((_bind_stop(s, scenario, mapping) for s in group), key=lambda s: s.sort_key)
         for group in template.groups
     ]
-    if ordering_search_is_exact(template, exhaustive_limit):
+    if ordering_search_is_exact(template):
         flats = (
             tuple(s for group in orderings for s in group)
             for orderings in itertools.product(*(itertools.permutations(g) for g in groups))

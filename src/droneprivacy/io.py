@@ -14,8 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 
-from .geometry import MotionModel
-from .model import CustomerSite, Scenario, VendorSite
+from .model import CustomerSite, MotionModel, Scenario, VendorSite
 from .search import ParetoFront
 
 FORMAT_VERSION = 1

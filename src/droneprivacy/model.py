@@ -216,20 +216,31 @@ def abstract_scenario(n: int, n_decoys: int = 0) -> Scenario:
 
 
 @dataclass(frozen=True)
-class DroneSpec:
-    """Drone parameters: integral payload capacity, cruise speed, per-stop service time."""
+class MotionModel:
+    """Travel model: constant speed, fixed per-stop service time, Euclidean legs."""
 
-    capacity: int
     speed: float = 20.0
     stop_duration: float = 60.0
 
     def __post_init__(self):
+        if not self.speed > 0:  # NaN fails too
+            raise ValueError("speed must be positive")
+        if not self.stop_duration >= 0:
+            raise ValueError("stop duration must be non-negative")
+
+
+@dataclass(frozen=True)
+class DroneSpec:
+    """Payload capacity plus the motion routes are timed with (:class:`MotionModel`'s defaults and rules)."""
+
+    capacity: int
+    speed: float = MotionModel.speed
+    stop_duration: float = MotionModel.stop_duration
+
+    def __post_init__(self):
         if self.capacity < 1:
             raise ValueError("capacity must be at least 1")
-        if self.speed <= 0:
-            raise ValueError("speed must be positive")
-        if self.stop_duration < 0:
-            raise ValueError("stop duration must be non-negative")
+        MotionModel.__post_init__(self)
 
 
 @dataclass(frozen=True)

@@ -19,7 +19,7 @@ from fractions import Fraction
 from typing import Iterable, Iterator
 
 from .errors import GuardError
-from .geometry import MotionModel, leg_times, wait_times
+from .geometry import leg_times, wait_times
 from .model import DroneSpec, Route, Scenario, Stop, abstract_scenario, require_valid
 from .risk import privacy_risks
 
@@ -113,7 +113,7 @@ class _RouteState:
     ``risk_sum`` (the sum of the per-order risks) and ``worst`` (the largest
     of them) are exact and reduced ``(numerator, denominator)`` pairs, so
     equal values have equal pairs.  ``peak`` is the most real items aboard at
-    once.  ``avg_wait`` is set only on a walk given a motion model; it is
+    once.  ``avg_wait`` is set only on a walk given a drone to time it; it is
     bit-identical to :func:`~droneprivacy.geometry.wait_times`' average.
     """
 
@@ -124,7 +124,7 @@ def _sequences(
     scenario: Scenario,
     capacity: int,
     decoy_budget: int,
-    motion: MotionModel | None = None,
+    drone: DroneSpec | None = None,
     state: _RouteState | None = None,
 ) -> Iterator[tuple[Stop, ...]]:
     """Every valid stop sequence, in ``Route.sort_key`` order, each described in ``state``.
@@ -151,10 +151,10 @@ def _sequences(
     reals = [(k, order_of_vendor[i]) for k, i in enumerate(vendor_ids)]
     decoys = list(range(n, n + len(decoy_ids)))
     custs = [(n + len(decoy_ids) + k, order_of_customer[i]) for k, i in enumerate(customer_ids)]
-    # Without a motion model every leg takes no time.  The extra all-zero last row (``last`` = -1)
+    # Without a drone every leg takes no time.  The extra all-zero last row (``last`` = -1)
     # is the leg into the first stop, where the clock starts.
     no_legs = [[0.0] * len(stops)]
-    legs = (no_legs * len(stops) if motion is None else leg_times(stops, scenario, motion)) + no_legs
+    legs = (no_legs * len(stops) if drone is None else leg_times(stops, scenario, drone)) + no_legs
     picked = [False] * n
     dropped = [False] * n
     decoy_used = [False] * len(stops)
@@ -168,7 +168,7 @@ def _sequences(
             state.risk_sum = (sn, sd)
             state.worst = (wn, wd)
             state.peak = peak
-            if motion is not None:
+            if drone is not None:
                 state.avg_wait = sum(waits) / n
 
     # remaining: orders not yet delivered; frozen: the current customer run's payload (0 in a
@@ -239,19 +239,14 @@ def evaluate(
     scenario: Scenario,
     drone: DroneSpec,
     *,
-    motion: MotionModel | None = None,
     tag: str | None = None,
     check: bool = True,
 ) -> Evaluation:
-    """Full objective vector for one route: exact risks plus wait times.
-
-    The motion model defaults to the drone's speed and stop duration.
-    """
+    """Full objective vector for one route: exact risks plus waits at the drone's speed and stop time."""
     if check:
         require_valid(route, scenario, drone)
     report = privacy_risks(route, scenario, check=False)
-    motion = motion or MotionModel(speed=drone.speed, stop_duration=drone.stop_duration)
-    waits = wait_times(route, scenario, motion, check=False)
+    waits = wait_times(route, scenario, drone, check=False)
     return Evaluation(
         route=route,
         avg_risk=report.average,
@@ -317,13 +312,12 @@ def pareto_front(
     drone: DroneSpec,
     objectives: tuple[str, str] = ("avg_risk", "avg_wait"),
     decoy_budget: int = 0,
-    *,
-    motion: MotionModel | None = None,
 ) -> ParetoFront:
     """Exact Pareto front of all valid routes under the chosen objective pair.
 
-    ``objectives`` pairs one of ``avg_risk``/``worst_risk`` with ``avg_wait``.
-    The result is independent of enumeration order.
+    ``objectives`` pairs one of ``avg_risk``/``worst_risk`` with ``avg_wait``;
+    waits run at the drone's speed and stop duration.  The result is
+    independent of enumeration order.
     """
     risk_obj, wait_obj = objectives
     if risk_obj not in RISK_OBJECTIVES or wait_obj != WAIT_OBJECTIVE:
@@ -331,7 +325,6 @@ def pareto_front(
             f"objectives must pair one of {RISK_OBJECTIVES} with {WAIT_OBJECTIVE!r}, got {objectives}"
         )
     _check_guards(scenario, decoy_budget)
-    motion = motion or MotionModel(speed=drone.speed, stop_duration=drone.stop_duration)
     average = risk_obj == "avg_risk"
     n = scenario.n
 
@@ -340,7 +333,7 @@ def pareto_front(
     best: dict[tuple[int, int], list] = {}
     state = _RouteState()
     total = 0
-    for seq in _sequences(scenario, drone.capacity, decoy_budget, motion, state):
+    for seq in _sequences(scenario, drone.capacity, decoy_budget, drone, state):
         total += 1
         key = state.risk_sum if average else state.worst
         wait = state.avg_wait
@@ -357,7 +350,7 @@ def pareto_front(
         front.offer(Fraction(num, den * n) if average else Fraction(num, den), wait, seq, count)
     points = []
     for risk, wait, seq, count in zip(front.risks, front.waits, front.seqs, front.counts):
-        evaluation = evaluate(Route(seq), scenario, drone, motion=motion, check=False)
+        evaluation = evaluate(Route(seq), scenario, drone, check=False)
         points.append(ParetoPoint(evaluation=evaluation, multiplicity=count))
     return ParetoFront(objectives=(risk_obj, wait_obj), points=tuple(points), total_routes=total)
 

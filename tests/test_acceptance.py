@@ -41,7 +41,6 @@ from droneprivacy import (
     stuffing_risk_series,
     template_for,
     unit_square_fixture,
-    UNIT_FIXTURE_MOTION,
 )
 from droneprivacy.fixtures import (
     UNIT_SQUARE_TABLE,
@@ -232,7 +231,7 @@ def test_criterion_06_unit_square_table_and_dominance():
     for row in UNIT_SQUARE_TABLE:
         fixture = unit_square_fixture(row.config)
         drone = DroneSpec(capacity=2, speed=1.0, stop_duration=0.0)
-        evaluation = evaluate(row.route, fixture, drone, motion=UNIT_FIXTURE_MOTION)
+        evaluation = evaluate(row.route, fixture, drone)
         risk_report = privacy_risks(row.route, fixture)
         if risk_report.risks != row.risks:
             failures.append(f"{row.tag}: risks {risk_report.risks}")

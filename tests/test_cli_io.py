@@ -20,6 +20,7 @@ from droneprivacy import (
     pareto_front,
     save_scenario,
     unit_square_fixture,
+    wait_times,
     write_front_csv,
     write_sweep_csv,
     min_avg_risk_sweep,
@@ -55,8 +56,8 @@ def test_scenario_format_version_checked(tmp_path):
 
 def test_front_csv_columns_and_exact_risks(tmp_path):
     fixture = unit_square_fixture("diagonal")
-    drone = DroneSpec(capacity=2)
-    front = pareto_front(fixture, drone, motion=UNIT_FIXTURE_MOTION)
+    drone = DroneSpec(capacity=2, speed=1.0, stop_duration=0.0)
+    front = pareto_front(fixture, drone)
     buffer = io_module.StringIO()
     write_front_csv(front, fixture, 2, 0, buffer)
     rows = list(csv.DictReader(io_module.StringIO(buffer.getvalue())))
@@ -266,3 +267,61 @@ def test_cli_malformed_scenario_file_exits_3_without_traceback(tmp_path, case):
     assert proc.stderr.startswith("error: ")
     if case.startswith("negative-"):  # refused at load, not later by a route stop that cannot name the site
         assert "scenario ids must be non-negative" in proc.stderr
+
+
+_MOTION_FLAGS = {"no-flag": [], "speed-flag": ["--speed", "5"], "stop-flag": ["--stop-duration", "7"]}
+
+
+@pytest.mark.parametrize("flag", sorted(_MOTION_FLAGS))
+@pytest.mark.parametrize("motion_block", [False, True], ids=["no-motion-block", "motion-block"])
+@pytest.mark.parametrize("command", ["eval", "heuristic", "pareto"])
+def test_cli_motion_precedence(tmp_path, capsys, command, motion_block, flag):
+    """Speed and stop time: the flag, else the scenario file's motion block, else 20 m/s and 60 s."""
+    scenario = generate("uniform", 3, seed=4)
+    path = tmp_path / "s.json"
+    file_motion = MotionModel(speed=2.0, stop_duration=3.0) if motion_block else None
+    save_scenario(ScenarioFile(scenario=scenario, motion=file_motion), path)
+    speed, stop = (2.0, 3.0) if motion_block else (20.0, 60.0)
+    if flag == "speed-flag":
+        speed = 5.0
+    elif flag == "stop-flag":
+        stop = 7.0
+    expected = MotionModel(speed=speed, stop_duration=stop)
+    args = {
+        "eval": ["--route", "v1,v2,a2,v3,a3,a1"],
+        "heuristic": ["--kind", "split", "--k", "1", "--l", "2"],
+        "pareto": [],
+    }[command]
+    assert main([command, "--scenario", str(path), "--capacity", "2", *args, *_MOTION_FLAGS[flag]]) == 0
+    out = capsys.readouterr().out
+    if command == "pareto":
+        rows = list(csv.DictReader(io_module.StringIO(out)))
+        assert rows
+        for row in rows:
+            assert row["avg_wait"] == repr(wait_times(parse_route(row["route"]), scenario, expected).average)
+        return
+    route = parse_route(next(line for line in out.splitlines() if line.startswith("route: "))[7:])
+    report = wait_times(route, scenario, expected)
+    lines = [f"wait a{cid} = {wait:.3f} s" for cid, wait in zip(report.customer_ids, report.waits)]
+    for line in lines + [f"avg_wait = {report.average:.3f} s"]:
+        assert line in out.splitlines()
+
+
+@pytest.mark.parametrize("flag", ["--speed", "--stop-duration"])
+def test_cli_nan_motion_flag_exits_3(tmp_path, capsys, flag):
+    """A NaN flag would time every route as NaN; it is refused like a negative one."""
+    path = tmp_path / "s.json"
+    save_scenario(ScenarioFile(scenario=generate("uniform", 2, seed=1)), path)
+    assert main(["pareto", "--scenario", str(path), "--capacity", "2", flag, "nan"]) == 3
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize("flags, stored", [
+    ([], None),
+    (["--speed", "5"], {"speed_mps": 5.0, "stop_duration_s": 60.0}),
+    (["--stop-duration", "7"], {"speed_mps": 20.0, "stop_duration_s": 7.0}),
+])
+def test_cli_gen_fills_a_missing_motion_flag_with_the_default(tmp_path, flags, stored):
+    path = tmp_path / "s.json"
+    assert main(["gen", "--topology", "uniform", "--n", "2", "--out", str(path), *flags]) == 0
+    assert json.loads(path.read_text()).get("motion") == stored

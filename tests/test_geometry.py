@@ -150,6 +150,10 @@ def test_motion_model_bounds():
         MotionModel(speed=0.0)
     with pytest.raises(ValueError):
         MotionModel(stop_duration=-0.5)
+    with pytest.raises(ValueError, match="speed must be positive"):
+        MotionModel(speed=math.nan)
+    with pytest.raises(ValueError, match="stop duration must be non-negative"):
+        MotionModel(stop_duration=math.nan)
 
 
 def test_unknown_fixture_config_rejected():

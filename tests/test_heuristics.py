@@ -245,3 +245,20 @@ def test_relabeling_guard():
     ))
     with pytest.raises(GuardError):
         instantiate_template(template, scenario, DroneSpec(capacity=9), relabel=True)
+
+
+def test_relabeling_guard_bounds_the_work_not_n():
+    """n = 8 passes an n-only bound, but split(4,4) would flatten 8! * (4!)^4 times: refused up front."""
+    import time
+
+    start = time.perf_counter()
+    with pytest.raises(GuardError, match="13,377,208,320 flattenings"):
+        instantiate_template(split_template(8, 4, 4), abstract_scenario(8), DroneSpec(capacity=4),
+                             relabel=True)
+    assert time.perf_counter() - start < 1.0
+    # n = 5 stuffing(c=3) searches 5! * 3! * 3! = 4,320 flattenings and stays allowed.
+    route = instantiate_template(stuffing_template(5, 3), abstract_scenario(5), DroneSpec(capacity=3),
+                                 relabel=True)
+    assert sorted(privacy_risks(route, abstract_scenario(5)).risks) == sorted(
+        closed_form_risks(HeuristicParams("stuffing", 5, c=3)).risks
+    )

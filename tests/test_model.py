@@ -180,6 +180,10 @@ def test_drone_spec_bounds():
         DroneSpec(capacity=1, speed=0)
     with pytest.raises(ValueError):
         DroneSpec(capacity=1, stop_duration=-1)
+    with pytest.raises(ValueError, match="speed must be positive"):
+        DroneSpec(capacity=1, speed=float("nan"))
+    with pytest.raises(ValueError, match="stop duration must be non-negative"):
+        DroneSpec(capacity=1, stop_duration=float("nan"))
 
 
 def test_template_must_alternate_and_stay_homogeneous():

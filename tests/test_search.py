@@ -24,7 +24,6 @@ from droneprivacy import (
     route_count_upper_bound,
     Route,
     unit_square_fixture,
-    UNIT_FIXTURE_MOTION,
     wait_times,
 )
 from droneprivacy.search import _RouteState, _sequences
@@ -150,7 +149,7 @@ def test_evaluate_rejects_capacity_violations():
 def test_pareto_front_diagonal_fixture():
     fixture = unit_square_fixture("diagonal")
     drone = DroneSpec(capacity=2, speed=1.0, stop_duration=0.0)
-    front = pareto_front(fixture, drone, motion=UNIT_FIXTURE_MOTION)
+    front = pareto_front(fixture, drone)
     assert front.total_routes == 6
     assert len(front.points) == 1
     point = front.points[0]
@@ -163,7 +162,7 @@ def test_pareto_front_diagonal_fixture():
 def test_pareto_front_adjacent_fixture_keeps_both_tradeoffs():
     fixture = unit_square_fixture("adjacent")
     drone = DroneSpec(capacity=2, speed=1.0, stop_duration=0.0)
-    front = pareto_front(fixture, drone, motion=UNIT_FIXTURE_MOTION)
+    front = pareto_front(fixture, drone)
     assert len(front.points) == 2
     fast, private = front.points
     assert fast.evaluation.avg_risk == F(1)
@@ -179,9 +178,8 @@ def test_pareto_front_adjacent_fixture_keeps_both_tradeoffs():
 
 def test_pareto_front_worst_risk_objective():
     fixture = unit_square_fixture("diagonal")
-    drone = DroneSpec(capacity=2)
-    front = pareto_front(fixture, drone, objectives=("worst_risk", "avg_wait"),
-                         motion=UNIT_FIXTURE_MOTION)
+    drone = DroneSpec(capacity=2, speed=1.0, stop_duration=0.0)
+    front = pareto_front(fixture, drone, objectives=("worst_risk", "avg_wait"))
     assert front.objectives == ("worst_risk", "avg_wait")
     assert all(p.evaluation.worst_risk == F(1, 2) for p in front.points)
 

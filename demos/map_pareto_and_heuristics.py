@@ -1,11 +1,13 @@
 """Exact Pareto front on a generated map, with heuristic routes overlaid.
 
-Enumerates every valid route for five orders on a uniform map (113,400 of
-them), extracts the exact (average risk, average wait) front, and shows where
-the heuristic constructions land.  Five orders keeps this near-instant; six
-orders (7.5M routes) takes a couple of minutes with the same code.  On
-clustered maps the front tends to collapse to one or two points (aggregation
-wins both objectives); uniform maps keep a real trade-off curve.
+Covers every valid route for five orders on a uniform map (113,400 of them),
+extracts the exact (average risk, average wait) front, and shows where the
+heuristic constructions land.  The front's walk skips every partial route
+that a route already found beats in both objectives, and counts the routes
+it skips, so it walks only a small share of them; six orders (7.5M routes)
+take well under a second with the same code.  On clustered maps the front
+tends to collapse to one or two points (aggregation wins both objectives);
+uniform maps keep a real trade-off curve.
 """
 
 import time
@@ -31,7 +33,7 @@ def main():
     started = time.perf_counter()
     front = pareto_front(scenario, drone)
     elapsed = time.perf_counter() - started
-    print(f"{front.total_routes:,} routes enumerated in {elapsed:.1f}s; "
+    print(f"{front.total_routes:,} routes covered ({front.routes_walked:,} walked) in {elapsed:.1f}s; "
           f"{len(front.points)} points on the exact front:\n")
     for point in front.points:
         e = point.evaluation

@@ -111,7 +111,7 @@ def build_parser() -> argparse.ArgumentParser:
     heu.add_argument("--c", type=int)
 
     par = sub.add_parser("pareto", parents=[drone_flags],
-                         help="enumerate all routes and emit the Pareto front as CSV")
+                         help="compute the exact Pareto front over all routes and emit it as CSV")
     par.add_argument("--scenario", required=True)
     par.add_argument("--decoy-budget", type=int, default=0)
     par.add_argument("--objectives", type=_parse_objectives, default=("avg_risk", "avg_wait"),
@@ -207,8 +207,8 @@ def cmd_pareto(args) -> int:
     sf = load_scenario(args.scenario)
     front = pareto_front(sf.scenario, _drone_for(args, sf), objectives=args.objectives,
                          decoy_budget=args.decoy_budget)
-    print(f"{front.total_routes} routes enumerated, {len(front.points)} on the front",
-          file=sys.stderr)
+    print(f"{front.total_routes} routes covered ({front.routes_walked} walked), "
+          f"{len(front.points)} on the front", file=sys.stderr)
     write_front_csv(front, sf.scenario, args.capacity, args.decoy_budget, args.out or sys.stdout)
     return EXIT_OK
 

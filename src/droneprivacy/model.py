@@ -12,6 +12,7 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
 from functools import cached_property
@@ -223,10 +224,10 @@ class MotionModel:
     stop_duration: float = 60.0
 
     def __post_init__(self):
-        if not self.speed > 0:  # NaN fails too
-            raise ValueError("speed must be positive")
-        if not self.stop_duration >= 0:
-            raise ValueError("stop duration must be non-negative")
+        if not 0 < self.speed < math.inf:  # NaN fails too
+            raise ValueError("speed must be positive and finite")
+        if not 0 <= self.stop_duration < math.inf:
+            raise ValueError("stop duration must be non-negative and finite")
 
 
 @dataclass(frozen=True)

@@ -8,6 +8,13 @@ are exact rationals; wait objectives are floats computed in a fixed order, so
 fronts are bit-reproducible.  Front accumulation is merge-based: combining partial
 fronts from any partition of the route stream in any order yields the same
 result as one sequential pass.
+
+Pareto fronts are exact by branch and bound (Land & Doig 1960) on the same
+walk: a prefix is cut when a route already walked is no riskier than the
+prefix's risk bound (the least risk still to come) and waits strictly less
+than its wait bound (a minimum-latency dynamic program over the real stops,
+after Psaraftis 1980).  A counting recurrence adds the routes of every cut
+subtree to the total.
 """
 
 from __future__ import annotations
@@ -16,7 +23,8 @@ import math
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator
+from itertools import compress
+from typing import Callable, Iterable, Iterator
 
 from .errors import GuardError
 from .geometry import leg_times, wait_times
@@ -25,6 +33,8 @@ from .risk import privacy_risks
 
 MAX_ORDERS = 7
 MAX_DECOY_BUDGET = 3
+MAX_FRONT_NODES = 20_000_000  # prefixes one pareto_front walk may visit
+MAX_WAIT_BOUND_STATES = 34_992  # the front's wait-bound table, 2n * 3^(n-1) states, at n = 8
 
 RISK_OBJECTIVES = ("avg_risk", "worst_risk")
 WAIT_OBJECTIVE = "avg_wait"
@@ -58,24 +68,31 @@ class ParetoPoint:
 class ParetoFront:
     """Non-dominated evaluations, ascending by wait, one per objective vector.
 
-    ``multiplicity`` counts how many enumerated routes share a point's
-    objective vector; the stored route is the lexicographically smallest of
-    them.  ``total_routes`` is the number of routes enumerated to build the
-    front.
+    ``multiplicity`` counts how many valid routes share a point's objective
+    vector; the stored route is the lexicographically smallest of them.
+    ``total_routes`` is the number of valid routes the front covers: the
+    ``routes_walked`` that the walk reached, plus the routes of every cut
+    subtree, which are counted, not walked.  A cut route waits strictly
+    longer than a walked route that is no riskier, so it never ties a point.
     """
 
     objectives: tuple[str, str]
     points: tuple[ParetoPoint, ...]
     total_routes: int
+    routes_walked: int
 
 
-def _check_guards(scenario: Scenario, decoy_budget: int) -> None:
+def _check_budget(scenario: Scenario, decoy_budget: int) -> None:
     if decoy_budget < 0:
         raise ValueError("decoy budget must be non-negative")
     if decoy_budget > scenario.n_decoys:
         raise ValueError(
             f"decoy budget {decoy_budget} exceeds the scenario's {scenario.n_decoys} decoys"
         )
+
+
+def _check_guards(scenario: Scenario, decoy_budget: int) -> None:
+    _check_budget(scenario, decoy_budget)
     if scenario.n > MAX_ORDERS or decoy_budget > MAX_DECOY_BUDGET:
         raise GuardError(
             f"enumeration over n={scenario.n}, decoy budget {decoy_budget} refused "
@@ -126,6 +143,7 @@ def _sequences(
     decoy_budget: int,
     drone: DroneSpec | None = None,
     state: _RouteState | None = None,
+    prune: Callable[..., Callable[..., bool]] | None = None,
 ) -> Iterator[tuple[Stop, ...]]:
     """Every valid stop sequence, in ``Route.sort_key`` order, each described in ``state``.
 
@@ -138,6 +156,13 @@ def _sequences(
     each order snapshots at pickup.  A delivered order's risk is final at
     once: the product's growth since its pickup, divided by the frozen
     payload.
+
+    ``prune``, if given, is called once with the leg table, the stop layout
+    (``reals`` and ``custs``: (stop index, order position) pairs) and the
+    walk's live per-order lists (picked, dropped, the pickup snapshots and
+    the waits).  It returns ``cut``, which is called at every prefix with
+    the prefix's state; a prefix it answers true for is skipped with every
+    route that extends it.
     """
     n = scenario.n
     order_of_vendor = scenario.order_index_by_vendor
@@ -162,6 +187,7 @@ def _sequences(
     pickup_d = [1] * n
     waits = [0.0] * n
     path: list[Stop] = []
+    cut = None if prune is None else prune(legs, reals, custs, picked, dropped, pickup_n, pickup_d, waits)
 
     def publish(sn, sd, wn, wd, peak):
         if state is not None:
@@ -174,6 +200,8 @@ def _sequences(
     # remaining: orders not yet delivered; frozen: the current customer run's payload (0 in a
     # vendor run); sn / sd: risk sum; wn / wd: worst risk; t: clock; last: index of the last stop.
     def walk(remaining, aboard, decoys_left, frozen, pn, pd, sn, sd, wn, wd, peak, t, last):
+        if cut is not None and cut(remaining, aboard, decoys_left, frozen, pn, pd, sn, sd, wn, wd, t, last):
+            return
         if remaining == 0:
             publish(sn, sd, wn, wd, peak)
             yield tuple(path)
@@ -307,6 +335,116 @@ class ParetoAccumulator:
         return len(self.waits)
 
 
+def _route_counter(n_decoys: int, capacity: int, decoy_budget: int) -> Callable[[int, int, int], int]:
+    """``count(unpicked, aboard, decoys_left)``: how many valid routes extend a prefix in that state.
+
+    The choices are those of :func:`_sequences`: any unpicked order while
+    below capacity, any unused decoy site while budget is left, the customer
+    of any item aboard.  A prefix with every order delivered is itself a
+    route, and trailing decoys extend it.
+    """
+    memo: dict[tuple[int, int, int], int] = {}
+
+    def count(unpicked, aboard, decoys_left):
+        key = (unpicked, aboard, decoys_left)
+        total = memo.get(key)
+        if total is None:
+            total = 0 if unpicked or aboard else 1
+            if unpicked and aboard < capacity:
+                total += unpicked * count(unpicked - 1, aboard + 1, decoys_left)
+            if decoys_left:
+                unused = n_decoys - decoy_budget + decoys_left
+                total += unused * count(unpicked, aboard, decoys_left - 1)
+            if aboard:
+                total += aboard * count(unpicked, aboard - 1, decoys_left)
+            memo[key] = total
+        return total
+
+    return count
+
+
+def _wait_to_go(
+    legs: list[list[float]], reals: list, custs: list, capacity: int
+) -> Callable[[int, int, int], float]:
+    """``togo(picked, dropped, last)``: the least sum, over the undelivered orders, of the wait to come.
+
+    A minimum-latency dynamic program over order bit masks and the index of
+    the last stop: each leg costs its time times the orders not yet delivered
+    when it starts.  Only real stops are visited; that keeps it a lower
+    bound, because a decoy detour is never shorter than the leg it replaces
+    (triangle inequality, stop times >= 0).
+    """
+    n = len(reals)
+    memo: dict[tuple[int, int, int], float] = {}
+
+    def togo(picked, dropped, last):
+        key = (picked, dropped, last)
+        best = memo.get(key)
+        if best is None:
+            undelivered = n - dropped.bit_count()
+            best = math.inf if undelivered else 0.0
+            row = legs[last]
+            if (picked ^ dropped).bit_count() < capacity:
+                for k, pos in reals:
+                    if not picked >> pos & 1:
+                        best = min(best, undelivered * row[k] + togo(picked | 1 << pos, dropped, k))
+            for k, pos in custs:
+                if picked >> pos & 1 and not dropped >> pos & 1:
+                    best = min(best, undelivered * row[k] + togo(picked, dropped | 1 << pos, k))
+            memo[key] = best
+        return best
+
+    return togo
+
+
+def _reduced(num: int, den: int) -> tuple[int, int]:
+    g = math.gcd(num, den)
+    return num // g, den // g
+
+
+def _risk_to_go(capacity: int, decoy_budget: int) -> Callable[..., tuple[int, int]]:
+    """``togo(unpicked, ratios, frozen, decoys_left)``: the least risk sum the undelivered orders can get.
+
+    The arguments are a prefix's canonical payload state: the number of
+    unpicked orders, the sorted survivor ratios of the items aboard (each a
+    reduced pair: how much the survivor product of :func:`_sequences` grew
+    since the item's pickup), the current customer run's frozen payload (0
+    outside a run or with nothing aboard) and the decoys left.  The moves and
+    their risks are the walk's; the result is exact, a reduced pair.
+    """
+    memo: dict[tuple, tuple[int, int]] = {}
+
+    def togo(unpicked, ratios, frozen, decoys_left):
+        key = (unpicked, ratios, frozen, decoys_left)
+        best = memo.get(key)
+        if best is None:
+            aboard = len(ratios)
+            payload = aboard + decoy_budget - decoys_left
+            options = [] if unpicked or aboard else [(0, 1)]
+            closed = ratios  # after a vendor or decoy stop, which ends the customer run
+            if frozen:
+                closed = tuple(sorted(_reduced(a * payload, b * frozen) for a, b in ratios))
+            if unpicked and aboard < capacity:
+                options.append(togo(unpicked - 1, tuple(sorted(closed + ((1, 1),))), 0, decoys_left))
+            if decoys_left:
+                options.append(togo(unpicked, closed, 0, decoys_left - 1))
+            run = frozen or payload
+            for j, (a, b) in enumerate(ratios):
+                if j and ratios[j - 1] == (a, b):
+                    continue  # the same ratio again: the same completions
+                rest = ratios[:j] + ratios[j + 1:]
+                tn, td = togo(unpicked, rest, run if rest else 0, decoys_left)
+                options.append(_reduced(a * td + tn * b * run, b * run * td))
+            best = options[0]
+            for other in options[1:]:
+                if other[0] * best[1] < best[0] * other[1]:
+                    best = other
+            memo[key] = best
+        return best
+
+    return togo
+
+
 def pareto_front(
     scenario: Scenario,
     drone: DroneSpec,
@@ -317,42 +455,104 @@ def pareto_front(
 
     ``objectives`` pairs one of ``avg_risk``/``worst_risk`` with ``avg_wait``;
     waits run at the drone's speed and stop duration.  The result is
-    independent of enumeration order.
+    independent of enumeration order.  The walk skips a prefix when a walked
+    route is no riskier than the prefix's risk bound and waits strictly less
+    than its wait bound: every route under it then waits longer than that
+    route, so it can neither reach nor tie the front, and multiplicities
+    stay exact.  Raises :class:`GuardError` past ``MAX_FRONT_NODES``
+    prefixes, or when the wait bound's table would pass
+    ``MAX_WAIT_BOUND_STATES`` states.
     """
     risk_obj, wait_obj = objectives
     if risk_obj not in RISK_OBJECTIVES or wait_obj != WAIT_OBJECTIVE:
         raise ValueError(
             f"objectives must pair one of {RISK_OBJECTIVES} with {WAIT_OBJECTIVE!r}, got {objectives}"
         )
-    _check_guards(scenario, decoy_budget)
+    _check_budget(scenario, decoy_budget)
+    n, capacity = scenario.n, drone.capacity
+    count = _route_counter(scenario.n_decoys, capacity, decoy_budget)
+    states = 2 * n * 3 ** (n - 1)
+    if states > MAX_WAIT_BOUND_STATES or decoy_budget > MAX_DECOY_BUDGET:
+        raise GuardError(
+            f"front over n={n}, decoy budget {decoy_budget} refused (limits: a wait-bound table of "
+            f"{states:,} states <= {MAX_WAIT_BOUND_STATES:,}, budget <= {MAX_DECOY_BUDGET}); "
+            f"{count(n, 0, decoy_budget):,} routes"
+        )
     average = risk_obj == "avg_risk"
-    n = scenario.n
+
+    # The walked routes' non-dominated (risk, wait) pairs; with the average objective the risk is the
+    # risk sum, n times the average.  Only their waits and risks are read.
+    incumbents = ParetoAccumulator()
+    visited = cut_routes = 0
+
+    def prune(legs, reals, custs, picked, dropped, pickup_n, pickup_d, waits):
+        wait_to_go = _wait_to_go(legs, reals, custs, capacity)
+        risk_to_go = _risk_to_go(capacity, decoy_budget)
+        inc_waits, inc_risks = incumbents.waits, incumbents.risks
+        bits = [1 << pos for pos in range(n)]
+        shrink = (1 - 1e-9) / n  # the bound adds in another order than the walk's sum(waits) / n
+
+        def cut(remaining, aboard, decoys_left, frozen, pn, pd, sn, sd, wn, wd, t, last):
+            nonlocal visited, cut_routes
+            visited += 1
+            if visited > MAX_FRONT_NODES:
+                raise GuardError(
+                    f"front walk refused after {visited - 1:,} prefixes (budget {MAX_FRONT_NODES:,}); "
+                    f"{count(n, 0, decoy_budget):,} routes"
+                )
+            if not inc_waits:
+                return False
+            togo = wait_to_go(sum(compress(bits, picked)), sum(compress(bits, dropped)), last)
+            i = bisect_left(inc_waits, (sum(compress(waits, dropped)) + remaining * t + togo) * shrink)
+            if not i:
+                return False
+            # The least risk among the walked routes that wait less than the bound: if it is no more
+            # than the risk bound, every extension waits longer than that route and none can tie it.
+            rn, rd = inc_risks[i - 1].numerator, inc_risks[i - 1].denominator
+            if average:
+                if rn * sd > sn * rd:  # the delivered risk sum alone does not cut; add the least to come
+                    ratios = []
+                    for up, down, a, b in zip(picked, dropped, pickup_n, pickup_d):
+                        if up and not down:
+                            num, den = pn * b, pd * a
+                            g = math.gcd(num, den)
+                            ratios.append((num // g, den // g))
+                    ratios.sort()
+                    unpicked = remaining - aboard
+                    tn, td = risk_to_go(unpicked, tuple(ratios), frozen if aboard else 0, decoys_left)
+                    if rn * sd * td > (sn * td + tn * sd) * rd:
+                        return False
+            elif rn * wd > wn * rd:
+                return False
+            cut_routes += count(remaining - aboard, aboard, decoys_left)
+            return True
+
+        return cut
 
     # Per exact risk value: [minimum wait, routes at exactly that wait, the first of them].  Only
     # a minimum can reach the front, and the walk's order makes the first route the smallest.
     best: dict[tuple[int, int], list] = {}
     state = _RouteState()
-    total = 0
-    for seq in _sequences(scenario, drone.capacity, decoy_budget, drone, state):
-        total += 1
+    walked = 0
+    for seq in _sequences(scenario, capacity, decoy_budget, drone, state, prune):
+        walked += 1
         key = state.risk_sum if average else state.worst
         wait = state.avg_wait
         entry = best.get(key)
-        if entry is None:
+        if entry is None or wait < entry[0]:
             best[key] = [wait, 1, seq]
-        elif wait < entry[0]:
-            entry[:] = wait, 1, seq
+            incumbents.offer(Fraction(*key), wait, seq)
         elif wait == entry[0]:
             entry[1] += 1
 
-    front = ParetoAccumulator()
-    for (num, den), (wait, count, seq) in best.items():
-        front.offer(Fraction(num, den * n) if average else Fraction(num, den), wait, seq, count)
+    # The incumbents are the front: every front point's routes were all walked.
     points = []
-    for risk, wait, seq, count in zip(front.risks, front.waits, front.seqs, front.counts):
+    for risk in incumbents.risks:
+        _, multiplicity, seq = best[risk.numerator, risk.denominator]
         evaluation = evaluate(Route(seq), scenario, drone, check=False)
-        points.append(ParetoPoint(evaluation=evaluation, multiplicity=count))
-    return ParetoFront(objectives=(risk_obj, wait_obj), points=tuple(points), total_routes=total)
+        points.append(ParetoPoint(evaluation=evaluation, multiplicity=multiplicity))
+    return ParetoFront(objectives=(risk_obj, wait_obj), points=tuple(points),
+                       total_routes=walked + cut_routes, routes_walked=walked)
 
 
 def min_avg_risk_sweep(

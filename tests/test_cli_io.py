@@ -120,9 +120,9 @@ def test_cli_usage_error_exits_2():
 
 def test_cli_guard_exits_4(tmp_path, capsys):
     path = tmp_path / "s.json"
-    main(["gen", "--topology", "uniform", "--n", "8", "--seed", "1", "--out", str(path)])
+    main(["gen", "--topology", "uniform", "--n", "9", "--seed", "1", "--out", str(path)])
     capsys.readouterr()
-    assert main(["pareto", "--scenario", str(path), "--capacity", "8"]) == 4
+    assert main(["pareto", "--scenario", str(path), "--capacity", "9"]) == 4
     err = capsys.readouterr().err
     assert "refused" in err
 
@@ -175,6 +175,7 @@ def test_cli_pareto_csv(tmp_path, capsys):
     assert len(rows) == 1
     assert rows[0]["avg_risk"] == "1/2"
     assert float(rows[0]["avg_wait"]) == pytest.approx(2.5)
+    assert capsys.readouterr().err == "6 routes covered (2 walked), 1 on the front\n"
 
 
 def test_cli_sweep_csv(tmp_path):
@@ -314,6 +315,19 @@ def test_cli_nan_motion_flag_exits_3(tmp_path, capsys, flag):
     save_scenario(ScenarioFile(scenario=generate("uniform", 2, seed=1)), path)
     assert main(["pareto", "--scenario", str(path), "--capacity", "2", flag, "nan"]) == 3
     assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize("flag", ["--speed", "--stop-duration"])
+@pytest.mark.parametrize("command", ["eval", "pareto"])
+def test_cli_infinite_motion_flag_exits_3(tmp_path, capsys, command, flag):
+    """An infinite speed would time every leg as 0 s, an infinite stop time every wait as inf."""
+    path = tmp_path / "s.json"
+    save_scenario(ScenarioFile(scenario=generate("uniform", 2, seed=1)), path)
+    args = ["--route", "v1,a1,v2,a2"] if command == "eval" else []
+    assert main([command, "--scenario", str(path), "--capacity", "2", *args, flag, "inf"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and "finite" in captured.err
 
 
 @pytest.mark.parametrize("flags, stored", [

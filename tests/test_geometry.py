@@ -154,6 +154,10 @@ def test_motion_model_bounds():
         MotionModel(speed=math.nan)
     with pytest.raises(ValueError, match="stop duration must be non-negative"):
         MotionModel(stop_duration=math.nan)
+    with pytest.raises(ValueError, match="speed must be positive and finite"):
+        MotionModel(speed=math.inf)
+    with pytest.raises(ValueError, match="stop duration must be non-negative and finite"):
+        MotionModel(stop_duration=math.inf)
 
 
 def test_unknown_fixture_config_rejected():

@@ -184,6 +184,10 @@ def test_drone_spec_bounds():
         DroneSpec(capacity=1, speed=float("nan"))
     with pytest.raises(ValueError, match="stop duration must be non-negative"):
         DroneSpec(capacity=1, stop_duration=float("nan"))
+    with pytest.raises(ValueError, match="speed must be positive and finite"):
+        DroneSpec(capacity=1, speed=float("inf"))
+    with pytest.raises(ValueError, match="stop duration must be non-negative and finite"):
+        DroneSpec(capacity=1, stop_duration=float("inf"))
 
 
 def test_template_must_alternate_and_stay_homogeneous():

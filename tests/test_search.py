@@ -26,8 +26,11 @@ from droneprivacy import (
     unit_square_fixture,
     wait_times,
 )
-from droneprivacy.search import _RouteState, _sequences
-from conftest import brute_force_routes
+from droneprivacy import search
+from droneprivacy.search import _RouteState, _route_counter, _sequences
+from conftest import brute_force_routes, exhaustive_front
+
+TOPOLOGIES = ("uniform", "two_clusters", "hub_spoke", "linear")
 
 
 def test_single_order_single_route():
@@ -213,6 +216,91 @@ def test_pareto_front_matches_the_per_route_path(n, budget, objective):
             assert [p.evaluation.avg_wait.hex() for p in front.points] == [w.hex() for w in acc.waits]
             assert [p.evaluation.route.stops for p in front.points] == acc.seqs
             assert [p.multiplicity for p in front.points] == acc.counts
+
+
+def _front_rows(front):
+    objective = front.objectives[0]
+    return front.total_routes, [
+        (getattr(p.evaluation, objective), p.evaluation.avg_wait.hex(), p.evaluation.route.stops,
+         p.multiplicity)
+        for p in front.points
+    ]
+
+
+def _assert_front_is_exhaustive(scenario, drone, objective, budget):
+    front = pareto_front(scenario, drone, (objective, "avg_wait"), budget)
+    oracle = exhaustive_front(scenario, drone, (objective, "avg_wait"), budget)
+    assert _front_rows(front) == _front_rows(oracle)
+    assert 0 < front.routes_walked <= front.total_routes
+    return front
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+@pytest.mark.parametrize("topology", TOPOLOGIES)
+def test_pruned_front_equals_the_exhaustive_front(topology, n):
+    """The pruned walk gives the exhaustive front: risks, .hex() waits, routes, multiplicities, counts.
+
+    Every capacity and both objectives, on two seeds with and without stop time (no stop time gives
+    more exact wait ties); decoy budgets 0-2, except budget 2 at n = 4, which only the placeholder
+    scenario below covers.
+    """
+    for seed in (0, 1):
+        scenario = generate(topology, n, n_decoys=2, seed=seed)
+        for stop_duration in (60.0, 0.0):
+            for capacity in range(1, n + 1):
+                drone = DroneSpec(capacity, stop_duration=stop_duration)
+                for budget in range(3 if n < 4 else 2):
+                    for objective in ("avg_risk", "worst_risk"):
+                        _assert_front_is_exhaustive(scenario, drone, objective, budget)
+
+
+@pytest.mark.parametrize("objective", ["avg_risk", "worst_risk"])
+def test_pruned_front_equals_the_exhaustive_front_on_tied_maps(objective):
+    """Maps with many exactly equal waits: the placeholder grid (n <= 4, budget 2) and the unit squares."""
+    for n in range(1, 5):
+        scenario = abstract_scenario(n, n_decoys=2)
+        for capacity in range(1, n + 1):
+            for budget in range(3):
+                _assert_front_is_exhaustive(scenario, DroneSpec(capacity), objective, budget)
+    for config in ("diagonal", "adjacent"):
+        _assert_front_is_exhaustive(unit_square_fixture(config), DroneSpec(2, 1.0, 0.0), objective, 0)
+
+
+@pytest.mark.parametrize("objective", ["avg_risk", "worst_risk"])
+@pytest.mark.parametrize("topology", TOPOLOGIES)
+def test_pruned_front_equals_the_exhaustive_front_at_n5(topology, objective):
+    scenario = generate(topology, 5, seed=3)
+    for capacity in (2, 3):
+        front = _assert_front_is_exhaustive(scenario, DroneSpec(capacity), objective, 0)
+        assert front.routes_walked < front.total_routes
+
+
+def test_route_counter_matches_enumeration():
+    """The recurrence that counts cut subtrees counts every route the walker yields."""
+    for n in range(1, 5):
+        for n_decoys in range(3):
+            scenario = abstract_scenario(n, n_decoys=n_decoys)
+            for capacity in range(1, n + 1):
+                for budget in range(n_decoys + 1):
+                    count = _route_counter(n_decoys, capacity, budget)(n, 0, budget)
+                    assert count == sum(1 for _ in enumerate_routes(scenario, DroneSpec(capacity), budget))
+                    if capacity == n and budget == n_decoys:
+                        assert count == route_count_upper_bound(n, budget)
+
+
+def test_front_guard_bounds_the_walk(monkeypatch):
+    scenario = generate("uniform", 5, seed=3)
+    monkeypatch.setattr(search, "MAX_FRONT_NODES", 50)
+    with pytest.raises(GuardError, match=r"after 50 prefixes .*52,920 routes"):
+        pareto_front(scenario, DroneSpec(capacity=3))
+
+
+def test_front_guard_allows_n8_and_refuses_n9():
+    front = pareto_front(generate("linear", 8, seed=0), DroneSpec(capacity=2))
+    assert front.total_routes == _route_counter(0, 2, 0)(8, 0, 0)
+    assert front.points
+    with pytest.raises(GuardError, match=f"{route_count_upper_bound(9, 0):,} routes"):
+        pareto_front(generate("uniform", 9, seed=0), DroneSpec(capacity=9))
 
 
 def _max_load(stops):

@@ -12,9 +12,7 @@ from .errors import GuardError, UnknownIdError
 from .geometry import (
     UNIT_FIXTURE_MOTION,
     WaitReport,
-    distance_matrix,
     generate,
-    site_order,
     unit_square_fixture,
     wait_times,
 )
@@ -44,17 +42,14 @@ from .model import (
     MotionModel,
     Route,
     RouteTemplate,
-    RunDecomposition,
     Scenario,
     Stop,
     ValidationResult,
     VendorSite,
     abstract_scenario,
-    decompose_runs,
     parse_route,
     parse_stop,
     validate_route,
-    validate_structure,
 )
 from .observer import (
     MAX_OBSERVED_ITEMS,
@@ -99,7 +94,6 @@ __all__ = [
     "RiskReport",
     "Route",
     "RouteTemplate",
-    "RunDecomposition",
     "Scenario",
     "ScenarioFile",
     "Stop",
@@ -111,8 +105,6 @@ __all__ = [
     "abstract_scenario",
     "average_risk",
     "closed_form_risks",
-    "decompose_runs",
-    "distance_matrix",
     "enumerate_routes",
     "enumerate_worlds",
     "evaluate",
@@ -132,14 +124,12 @@ __all__ = [
     "risks_from_posterior",
     "route_count_upper_bound",
     "save_scenario",
-    "site_order",
     "split_template",
     "stuffing_risk_series",
     "stuffing_template",
     "template_for",
     "unit_square_fixture",
     "validate_route",
-    "validate_structure",
     "wait_times",
     "write_front_csv",
     "write_sweep_csv",

@@ -1,4 +1,4 @@
-"""Scenario geometry: generators, distances, and the customer wait-time model.
+"""Scenario geometry: generators, fixtures, leg times, and the customer wait-time model.
 
 Generators are pure functions of their seed and parameters (PCG64 via
 ``numpy.random.default_rng``); the saved scenario file, not the seed, is the
@@ -87,19 +87,6 @@ def travel_length(stops: Sequence[Stop], scenario: Scenario) -> float:
         total += math.hypot(x - px, y - py)
         px, py = x, y
     return total
-
-
-def site_order(scenario: Scenario) -> tuple:
-    """Fixed site ordering used by :func:`distance_matrix`: real vendors, decoys, customers."""
-    return tuple(scenario.real_vendors) + tuple(scenario.decoy_vendors) + tuple(scenario.customers)
-
-
-def distance_matrix(scenario: Scenario) -> np.ndarray:
-    """Symmetric Euclidean distances (meters) over :func:`site_order`."""
-    sites = site_order(scenario)
-    coords = np.array([(s.x, s.y) for s in sites], dtype=float)
-    diff = coords[:, None, :] - coords[None, :, :]
-    return np.hypot(diff[..., 0], diff[..., 1])
 
 
 def unit_square_fixture(config: Literal["diagonal", "adjacent"]) -> Scenario:

@@ -1,4 +1,4 @@
-"""Core domain objects: scenarios, drones, routes, templates, and run decomposition.
+"""Core domain objects: scenarios, drones, routes, route validation, and templates.
 
 Conventions used throughout the package:
 
@@ -257,21 +257,13 @@ class ValidationResult:
         return self.ok
 
 
-def validate_route(route: Route, scenario: Scenario, drone: DroneSpec) -> ValidationResult:
-    """Check precedence, completeness, and capacity against a scenario and drone.
+def validate_route(route: Route, scenario: Scenario, drone: DroneSpec | None = None) -> ValidationResult:
+    """Check precedence and completeness, and capacity when a drone is given.
 
     Unknown ids raise :class:`UnknownIdError`; rule violations are reported in
     the returned result, identifying the first failing stop index.
     """
-    return _scan_route(route, scenario, drone.capacity)
-
-
-def validate_structure(route: Route, scenario: Scenario) -> ValidationResult:
-    """Like :func:`validate_route` but capacity-free (no drone involved)."""
-    return _scan_route(route, scenario, None)
-
-
-def _scan_route(route: Route, scenario: Scenario, capacity: int | None) -> ValidationResult:
+    capacity = None if drone is None else drone.capacity
     seen_real: set[int] = set()
     seen_decoy: set[int] = set()
     seen_cust: set[int] = set()
@@ -313,56 +305,9 @@ def _scan_route(route: Route, scenario: Scenario, capacity: int | None) -> Valid
 
 def require_valid(route: Route, scenario: Scenario, drone: DroneSpec | None = None) -> None:
     """Raise ``ValueError`` unless the route is valid (capacity checked only with a drone)."""
-    result = (
-        validate_route(route, scenario, drone)
-        if drone is not None
-        else validate_structure(route, scenario)
-    )
+    result = validate_route(route, scenario, drone)
     if not result.ok:
         raise ValueError(f"invalid route at stop {result.index}: {result.message}")
-
-
-@dataclass(frozen=True)
-class RunDecomposition:
-    """Maximal alternating (vendor run, customer run) pairs of a route.
-
-    Every vendor run is non-empty; only the final customer run may be empty
-    (a route that ends on trailing decoy stops).
-    """
-
-    runs: tuple[tuple[tuple[Stop, ...], tuple[Stop, ...]], ...]
-
-    def flatten(self) -> tuple[Stop, ...]:
-        out: list[Stop] = []
-        for vendors, customers in self.runs:
-            out.extend(vendors)
-            out.extend(customers)
-        return tuple(out)
-
-    def __len__(self) -> int:
-        return len(self.runs)
-
-    def __iter__(self):
-        return iter(self.runs)
-
-
-def decompose_runs(route: Route) -> RunDecomposition:
-    """Split a route into maximal vendor/customer runs, preserving stop order."""
-    stops = route.stops
-    runs: list[tuple[tuple[Stop, ...], tuple[Stop, ...]]] = []
-    i, total = 0, len(stops)
-    while i < total:
-        v_start = i
-        while i < total and stops[i].is_vendor:
-            i += 1
-        if i == v_start:
-            raise ValueError(f"stop {stops[i].token} at index {i}: customer run without a preceding vendor run")
-        v_run = stops[v_start:i]
-        c_start = i
-        while i < total and not stops[i].is_vendor:
-            i += 1
-        runs.append((v_run, stops[c_start:i]))
-    return RunDecomposition(tuple(runs))
 
 
 @dataclass(frozen=True)

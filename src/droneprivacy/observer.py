@@ -14,6 +14,7 @@ oracle for the fast risk computation.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -21,7 +22,7 @@ from .errors import GuardError
 from .model import Route, Scenario, Stop, require_valid
 
 MAX_OBSERVED_ITEMS = 10
-"""Upper bound on real orders plus used decoys before enumeration refuses to run."""
+"""Observer walks are refused past ``MAX_OBSERVED_ITEMS!`` branches, a fully aggregated route's count."""
 
 
 @dataclass(frozen=True)
@@ -56,13 +57,24 @@ class PosteriorMatrix:
         return len(self.customer_ids)
 
 
-def _guard_items(route: Route, scenario: Scenario) -> None:
-    items = scenario.n + route.used_decoys
-    if items > MAX_OBSERVED_ITEMS:
+def _drop_sizes(route: Route) -> list[int]:
+    """The payload size at each drop, phantoms included; refused when their product, the
+    branch count D, passes ``MAX_OBSERVED_ITEMS!``, so before any walk."""
+    sizes: list[int] = []
+    aboard = 0
+    for stop in route.stops:
+        if stop.is_vendor:
+            aboard += 1
+        else:
+            sizes.append(aboard)
+            aboard -= 1
+    worlds = math.prod(sizes)
+    if worlds > math.factorial(MAX_OBSERVED_ITEMS):
         raise GuardError(
-            f"observer enumeration over {items} items (orders plus used decoys) "
-            f"exceeds the limit of {MAX_OBSERVED_ITEMS}"
+            f"observer enumeration over {worlds:,} branches exceeds the limit of "
+            f"{MAX_OBSERVED_ITEMS}! = {math.factorial(MAX_OBSERVED_ITEMS):,}"
         )
+    return sizes
 
 
 def enumerate_worlds(route: Route, scenario: Scenario, *, check: bool = True) -> tuple[ObserverWorld, ...]:
@@ -77,7 +89,7 @@ def enumerate_worlds(route: Route, scenario: Scenario, *, check: bool = True) ->
     """
     if check:
         require_valid(route, scenario)
-    _guard_items(route, scenario)
+    _drop_sizes(route)
 
     stops = route.stops
     branches: list[tuple[tuple[int, Stop], ...]] = []
@@ -120,30 +132,24 @@ def posterior_matrix(route: Route, scenario: Scenario, *, check: bool = True) ->
     """
     if check:
         require_valid(route, scenario)
-    _guard_items(route, scenario)
+    sizes = _drop_sizes(route)
     columns: list[Stop] = [Stop("v", vendor.id) for vendor, _ in scenario.orders]
     columns += [Stop("d", d.id) for d in sorted(scenario.decoy_vendors, key=lambda v: v.id)]
     col_index = {stop: j for j, stop in enumerate(columns)}
     order_of_customer = scenario.order_index
     cells = [[0] * len(columns) for _ in range(scenario.n)]
 
-    # Per drop: the columns picked up since the previous drop, the drop's row
-    # of cells and the payload size there.
+    # Per drop: the columns picked up since the previous drop and the drop's row of cells.
     loads: list[tuple[int, ...]] = []
     rows: list[list[int]] = []
-    sizes: list[int] = []
     picked: list[int] = []
-    aboard = 0
     for stop in route.stops:
         if stop.is_vendor:
             picked.append(col_index[stop])
-            aboard += 1
             continue
         loads.append(tuple(picked))
         picked.clear()
         rows.append(cells[order_of_customer[stop.sid]])
-        sizes.append(aboard)
-        aboard -= 1
     weights = [0] * len(sizes)
     worlds = 1
     for k in reversed(range(len(sizes))):

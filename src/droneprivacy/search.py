@@ -91,13 +91,21 @@ def _check_budget(scenario: Scenario, decoy_budget: int) -> None:
         )
 
 
-def _check_guards(scenario: Scenario, decoy_budget: int) -> None:
+def _check_guards(scenario: Scenario, capacity: int, decoy_budget: int) -> None:
+    """Refuse a walk over more routes than the full decoy-free walk at ``MAX_ORDERS`` orders."""
     _check_budget(scenario, decoy_budget)
-    if scenario.n > MAX_ORDERS or decoy_budget > MAX_DECOY_BUDGET:
+    if decoy_budget > MAX_DECOY_BUDGET:
+        raise GuardError(f"enumeration with decoy budget {decoy_budget} refused (limit {MAX_DECOY_BUDGET})")
+    n, limit = scenario.n, route_count_upper_bound(MAX_ORDERS, 0)
+    routes = math.factorial(n)  # every walk holds the n! routes that serve one order at a time
+    exact = routes <= limit  # past the limit, skip the counter: it recurses 2n deep
+    if exact:
+        routes = _route_counter(scenario.n_decoys, capacity, decoy_budget)(n, 0, decoy_budget)
+    if routes > limit:
+        size = f"{routes:,}" if exact else f"at least {n}!"
         raise GuardError(
-            f"enumeration over n={scenario.n}, decoy budget {decoy_budget} refused "
-            f"(limits: n <= {MAX_ORDERS}, budget <= {MAX_DECOY_BUDGET}); "
-            f"roughly {route_count_upper_bound(scenario.n, decoy_budget):,} routes"
+            f"enumeration over n={n}, capacity {capacity}, decoy budget {decoy_budget} refused: "
+            f"{size} routes (limit {limit:,}, the full walk at n={MAX_ORDERS})"
         )
 
 
@@ -119,7 +127,7 @@ def enumerate_routes(scenario: Scenario, drone: DroneSpec, decoy_budget: int = 0
     ``decoy_budget`` distinct decoy vendors (anywhere in the route, trailing
     stops included).
     """
-    _check_guards(scenario, decoy_budget)
+    _check_guards(scenario, drone.capacity, decoy_budget)
     for seq in _sequences(scenario, drone.capacity, decoy_budget):
         yield Route(seq)
 
@@ -579,11 +587,12 @@ def min_avg_risk_sweep(
     for n in n_values:
         for n_d in d_values:
             scenario = abstract_scenario(n, n_d)
-            _check_guards(scenario, n_d)
+            capacity = min(c_max, n)
+            _check_guards(scenario, capacity, n_d)
             # Per peak payload, the least risk sum; the average is that sum over n.
             best_by_peak: dict[int, tuple[int, int]] = {}
             state = _RouteState()
-            for _ in _sequences(scenario, min(c_max, n), n_d, state=state):
+            for _ in _sequences(scenario, capacity, n_d, state=state):
                 nu, de = state.risk_sum
                 cur = best_by_peak.get(state.peak)
                 if cur is None or nu * cur[1] < cur[0] * de:

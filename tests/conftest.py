@@ -1,6 +1,6 @@
-"""Shared test helpers: a random valid-route walker, an independent
-permutation-filter enumerator used as a counting oracle, and the exhaustive
-Pareto front that the pruned one is checked against.
+"""Shared test helpers: a random valid-route walker, a route's run segments,
+an independent permutation-filter enumerator used as a counting oracle, and
+the exhaustive Pareto front that the pruned one is checked against.
 """
 
 from __future__ import annotations
@@ -49,6 +49,12 @@ def random_valid_route(
             dropped.add(scenario.order_index[stop.sid])
             aboard -= 1
     return Route(tuple(path))
+
+
+def run_segments(route: Route) -> list[tuple[int, int]]:
+    """``(start, end)`` stop ranges of the route's maximal runs: vendor stops (decoys included) or customers."""
+    ends = [i for i in range(1, len(route)) if route[i].is_vendor != route[i - 1].is_vendor]
+    return list(zip([0] + ends, ends + [len(route)]))
 
 
 def _filter_is_valid(stops: tuple[Stop, ...], scenario: Scenario, capacity: int) -> bool:

@@ -53,7 +53,7 @@ from droneprivacy.fixtures import (
     worked_example_scenario,
 )
 from droneprivacy.search import _sequences
-from conftest import brute_force_routes, random_valid_route
+from conftest import brute_force_routes, random_valid_route, run_segments
 
 
 def report(num: int, name: str, ok: bool, detail: str = "") -> None:
@@ -436,16 +436,7 @@ def test_criterion_11_property_suites():
         n_d = rng.randint(0, 2)
         scenario = abstract_scenario(n, n_d)
         route = random_valid_route(scenario, rng.randint(1, n), rng.randint(0, n_d), rng)
-        from droneprivacy import decompose_runs
-
-        offset = 0
-        segments = []
-        for vendors, customers in decompose_runs(route).runs:
-            if len(vendors) > 1:
-                segments.append((offset, offset + len(vendors)))
-            if len(customers) > 1:
-                segments.append((offset + len(vendors), offset + len(vendors) + len(customers)))
-            offset += len(vendors) + len(customers)
+        segments = [(lo, hi) for lo, hi in run_segments(route) if hi - lo > 1]
         if not segments:
             continue
         lo, hi = rng.choice(segments)

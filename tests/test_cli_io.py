@@ -191,6 +191,24 @@ def test_cli_sweep_bad_range_exits_2():
     assert main(["sweep", "--n", "3..1", "--capacity", "1"]) == 2
 
 
+def test_cli_sweep_guard_exits_4():
+    """n = 6 with a decoy budget of 3 is 24,818,270,400 routes: refused at once, not walked."""
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import droneprivacy
+
+    src = str(Path(droneprivacy.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-m", "droneprivacy.cli", "sweep", "--n", "6", "--capacity", "6", "--decoys", "3"],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src}, timeout=60,
+    )
+    assert proc.returncode == 4, proc.stderr
+    assert proc.stderr.startswith("refused: ") and "24,818,270,400 routes" in proc.stderr
+
+
 def test_cli_fixtures_all_pass(capsys):
     assert main(["fixtures"]) == 0
     out = capsys.readouterr().out

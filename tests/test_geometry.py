@@ -1,46 +1,57 @@
-"""Geometry: distances, wait-time model, fixtures, and generators."""
+"""Geometry: leg times, wait-time model, fixtures, and generators."""
 
 import itertools
 import math
 
-import numpy as np
 import pytest
 
 from droneprivacy import (
     UNIT_FIXTURE_MOTION,
+    DroneSpec,
     MotionModel,
+    Stop,
     abstract_scenario,
-    distance_matrix,
     generate,
     parse_route,
-    site_order,
     unit_square_fixture,
     wait_times,
 )
 from droneprivacy.fixtures import UNIT_SQUARE_TABLE, WAIT_TOLERANCE
+from droneprivacy.geometry import leg_times
+
+
+def _sites(scenario):
+    """Every site's stop: real vendors, decoys, customers."""
+    return [Stop("d" if v.decoy else "v", v.id) for v in scenario.vendors] + [
+        Stop("a", c.id) for c in scenario.customers
+    ]
 
 
 def test_unit_square_distances():
     fixture = unit_square_fixture("diagonal")
-    matrix = distance_matrix(fixture)
-    labels = site_order(fixture)
-    assert matrix.shape == (4, 4)
-    assert np.allclose(matrix, matrix.T)
-    assert np.allclose(np.diag(matrix), 0.0)
-    # v1 to its diagonally opposite customer a1
-    v1 = labels.index(fixture.vendors[0])
-    a1 = labels.index(fixture.customers[0])
-    v2 = labels.index(fixture.vendors[1])
-    assert matrix[v1, a1] == pytest.approx(math.sqrt(2))
-    assert matrix[v1, v2] == pytest.approx(1.0)
+    v1, v2, a1, a2 = Stop("v", 1), Stop("v", 2), Stop("a", 1), Stop("a", 2)
+    legs = leg_times([v1, v2, a1, a2], fixture, UNIT_FIXTURE_MOTION)  # time equals distance
+    for i in range(4):
+        assert legs[i][i] == 0.0
+        for j in range(4):
+            assert legs[i][j] == legs[j][i]
+    assert legs[0][2] == pytest.approx(math.sqrt(2))  # v1 to its diagonally opposite customer a1
+    assert legs[0][1] == pytest.approx(1.0)
 
 
-def test_distance_matrix_triangle_inequality():
-    scenario = generate("uniform", 5, n_decoys=2, seed=11)
-    matrix = distance_matrix(scenario)
-    size = matrix.shape[0]
-    for i, j, k in itertools.permutations(range(size), 3):
-        assert matrix[i, j] <= matrix[i, k] + matrix[k, j] + 1e-9
+def test_leg_times_triangle_inequality():
+    """A detour through a third stop never takes less time than the direct leg.
+
+    The pruned front's wait bound visits only real stops and relies on this
+    (a decoy detour cannot shorten a leg), so it is checked on every topology
+    with a positive stop time and no tolerance.
+    """
+    drone = DroneSpec(capacity=1, speed=13.0, stop_duration=30.0)
+    for topology in ("uniform", "two_clusters", "hub_spoke", "linear"):
+        scenario = generate(topology, 5, n_decoys=2, seed=11)
+        legs = leg_times(_sites(scenario), scenario, drone)
+        for i, j, k in itertools.permutations(range(len(legs)), 3):
+            assert legs[i][j] <= legs[i][k] + legs[k][j], (topology, i, j, k)
 
 
 @pytest.mark.parametrize("row", UNIT_SQUARE_TABLE, ids=lambda r: r.tag)
@@ -92,7 +103,7 @@ def test_generators_are_deterministic_in_seed():
 
 def test_uniform_sites_stay_in_the_square():
     scenario = generate("uniform", 8, n_decoys=2, seed=3, extent_m=2000.0)
-    for site in site_order(scenario):
+    for site in scenario.vendors + scenario.customers:
         assert 0.0 <= site.x <= 2000.0
         assert 0.0 <= site.y <= 2000.0
 
@@ -120,7 +131,7 @@ def test_two_clusters_rejects_oversized_radius():
 
 def test_linear_sites_stay_in_the_corridor():
     scenario = generate("linear", 6, n_decoys=1, seed=4, extent_m=8000.0, corridor_width=120.0)
-    for site in site_order(scenario):
+    for site in scenario.vendors + scenario.customers:
         assert abs(site.y - 4000.0) <= 120.0
 
 

@@ -1,22 +1,19 @@
-"""Domain model: stops, routes, validation, and run decomposition."""
+"""Domain model: stops, routes, validation, and templates."""
 
 import pytest
 
 from droneprivacy import (
     CustomerSite,
     DroneSpec,
-    Route,
     RouteTemplate,
     Scenario,
     Stop,
     UnknownIdError,
     VendorSite,
     abstract_scenario,
-    decompose_runs,
     parse_route,
     parse_stop,
     validate_route,
-    validate_structure,
 )
 
 
@@ -102,48 +99,17 @@ def test_decoy_repeat_is_forbidden():
 
 def test_trailing_decoys_are_legal():
     scenario = abstract_scenario(1, n_decoys=1)
-    route = parse_route("v1,a1,d1")
-    assert validate_route(route, scenario, DroneSpec(capacity=1)).ok
-    decomposition = decompose_runs(route)
-    assert decomposition.runs[-1] == ((Stop("d", 1),), ())
+    assert validate_route(parse_route("v1,a1,d1"), scenario, DroneSpec(capacity=1)).ok
 
 
-def test_decompose_worked_example():
-    runs = decompose_runs(parse_route("v1,v2,a2,v3,a3,a1")).runs
-    assert runs == (
-        ((Stop("v", 1), Stop("v", 2)), (Stop("a", 2),)),
-        ((Stop("v", 3),), (Stop("a", 3), Stop("a", 1))),
-    )
-
-
-def test_decompose_alternating_route():
-    runs = decompose_runs(parse_route("v1,a1,v2,a2")).runs
-    assert runs == (
-        ((Stop("v", 1),), (Stop("a", 1),)),
-        ((Stop("v", 2),), (Stop("a", 2),)),
-    )
-
-
-def test_decompose_aggregated_route_single_pair():
-    n = 5
-    route = Route(tuple(Stop("v", i + 1) for i in range(n)) + tuple(Stop("a", i + 1) for i in range(n)))
-    runs = decompose_runs(route).runs
-    assert len(runs) == 1
-    assert len(runs[0][0]) == n and len(runs[0][1]) == n
-
-
-def test_decomposition_is_a_partition():
-    route = parse_route("v2,v1,a1,v3,d1,a3,a2,d2")
-    scenario = abstract_scenario(3, n_decoys=2)
-    assert validate_structure(route, scenario).ok
-    decomposition = decompose_runs(route)
-    assert decomposition.flatten() == route.stops
-    assert sum(len(v) + len(c) for v, c in decomposition) == len(route)
-
-
-def test_decompose_rejects_leading_customer():
-    with pytest.raises(ValueError):
-        decompose_runs(parse_route("a1,v1"))
+def test_validation_without_a_drone_skips_only_capacity():
+    scenario = abstract_scenario(3, n_decoys=1)
+    route = parse_route("v1,v2,v3,d1,a1,a2,a3")
+    assert validate_route(route, scenario).ok
+    assert validate_route(route, scenario, DroneSpec(capacity=2)).rule == "capacity"
+    result = validate_route(parse_route("v1,a2,v2,a1,v3,a3"), scenario)
+    assert (result.rule, result.index) == ("precedence", 1)
+    assert validate_route(parse_route("v1,a1,v2,a2"), scenario).rule == "completeness"
 
 
 def test_route_length_is_orders_twice_plus_decoys():

@@ -155,8 +155,11 @@ def test_size_guard_refuses_eleven_items():
         + (Stop("d", 1), Stop("d", 2))
         + tuple(Stop("a", i + 1) for i in range(9))
     )
-    with pytest.raises(GuardError):
+    # D = 11 * 10 * ... * 3 branches, past 10!
+    with pytest.raises(GuardError, match="19,958,400 branches"):
         enumerate_worlds(route, scenario)
+    with pytest.raises(GuardError, match="19,958,400 branches"):
+        posterior_matrix(route, scenario)
 
 
 def test_size_guard_allows_ten_items_on_a_cheap_route():
@@ -164,6 +167,16 @@ def test_size_guard_allows_ten_items_on_a_cheap_route():
     route = Route(tuple(s for i in range(10) for s in (Stop("v", i + 1), Stop("a", i + 1))))
     worlds = enumerate_worlds(route, scenario)
     assert len(worlds) == 1
+
+
+def test_branch_guard_admits_twelve_orders_served_one_at_a_time():
+    """The guard bounds the branch count D, not the items: here 12 items but D = 1."""
+    scenario = abstract_scenario(12)
+    route = Route(tuple(s for i in range(12) for s in (Stop("v", i + 1), Stop("a", i + 1))))
+    posterior = posterior_matrix(route, scenario)
+    assert posterior.worlds == 1
+    assert risks_from_posterior(posterior) == (1,) * 12
+    assert len(enumerate_worlds(route, scenario)) == 1
 
 
 def test_invalid_route_rejected():

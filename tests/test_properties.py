@@ -11,7 +11,6 @@ from droneprivacy import (
     Route,
     ScenarioFile,
     abstract_scenario,
-    decompose_runs,
     enumerate_routes,
     enumerate_worlds,
     generate,
@@ -25,7 +24,7 @@ from droneprivacy import (
     wait_times,
 )
 from droneprivacy.io import scenario_file_from_dict, scenario_file_to_dict
-from conftest import random_valid_route
+from conftest import random_valid_route, run_segments
 
 
 @st.composite
@@ -86,10 +85,13 @@ def test_risks_are_probabilities_and_worst_case_floor(case):
 @given(scenario_route_and_sizes())
 def test_decomposition_partitions_and_length_accounting(case):
     scenario, route, _ = case
-    decomposition = decompose_runs(route)
-    assert decomposition.flatten() == route.stops
-    assert all(vendors for vendors, _ in decomposition.runs)
-    assert all(customers for _, customers in decomposition.runs[:-1])
+    segments = run_segments(route)
+    assert segments[0][0] == 0 and segments[-1][1] == len(route)
+    assert all(hi == lo for (_, hi), (lo, _) in zip(segments, segments[1:]))
+    # a vendor run first, then customer and vendor runs in turn
+    for k, (lo, hi) in enumerate(segments):
+        assert lo < hi
+        assert all(stop.is_vendor == (k % 2 == 0) for stop in route.stops[lo:hi])
     assert len(route) == 2 * scenario.n + route.used_decoys
 
 
@@ -119,15 +121,7 @@ def test_within_run_permutations_never_change_risks_1000_cases():
         scenario = abstract_scenario(n, n_d)
         capacity = rng.randint(1, n)
         route = random_valid_route(scenario, capacity, rng.randint(0, n_d), rng)
-        runs = decompose_runs(route).runs
-        segments = []
-        offset = 0
-        for vendors, customers in runs:
-            if len(vendors) > 1:
-                segments.append((offset, offset + len(vendors)))
-            if len(customers) > 1:
-                segments.append((offset + len(vendors), offset + len(vendors) + len(customers)))
-            offset += len(vendors) + len(customers)
+        segments = [(lo, hi) for lo, hi in run_segments(route) if hi - lo > 1]
         if not segments:
             continue
         lo, hi = rng.choice(segments)

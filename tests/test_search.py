@@ -108,6 +108,8 @@ def test_guards():
         list(enumerate_routes(abstract_scenario(8), DroneSpec(capacity=8)))
     with pytest.raises(GuardError):
         list(enumerate_routes(abstract_scenario(2, n_decoys=4), DroneSpec(capacity=2), decoy_budget=4))
+    with pytest.raises(GuardError, match="at least 600! routes"):  # refused without the 1,200-deep count
+        list(enumerate_routes(abstract_scenario(600), DroneSpec(capacity=600)))
     with pytest.raises(ValueError):
         list(enumerate_routes(abstract_scenario(2, n_decoys=1), DroneSpec(capacity=2), decoy_budget=2))
 
@@ -119,6 +121,21 @@ def test_guard_message_estimates_route_count():
         assert f"{route_count_upper_bound(8, 0):,}" in str(exc)
     else:
         pytest.fail("expected GuardError")
+
+
+def test_enumeration_guard_refuses_a_large_decoy_walk_at_once():
+    """n = 7 is within the order limit, but a decoy budget of 3 makes the walk too large."""
+    with pytest.raises(GuardError, match="3,300,515,618,400 routes"):
+        next(enumerate_routes(abstract_scenario(7, 3), DroneSpec(capacity=7), 3))
+
+
+def test_enumeration_guard_counts_the_walk_not_n():
+    """The limit is the full decoy-free walk at n = 7, so n = 8 at capacity 2 passes."""
+    assert _route_counter(0, 7, 0)(7, 0, 0) == route_count_upper_bound(7, 0) == 681_080_400
+    assert next(enumerate_routes(abstract_scenario(7), DroneSpec(capacity=7))).tokens.startswith("v1,")
+    assert _route_counter(0, 2, 0)(8, 0, 0) == 88_179_840
+    route = next(enumerate_routes(abstract_scenario(8), DroneSpec(capacity=2)))
+    assert route.tokens == "v1,v2,a1,v3,a2,v4,a3,v5,a4,v6,a5,v7,a6,v8,a7,a8"
 
 
 def test_evaluate_worked_example():

@@ -95,18 +95,25 @@ def enumerate_worlds(route: Route, scenario: Scenario, *, check: bool = True) ->
     branches: list[tuple[tuple[int, Stop], ...]] = []
     assignment: list[tuple[int, Stop]] = []
 
-    def walk(idx: int, payload: tuple[Stop, ...]) -> None:
-        if idx == len(stops):
+    def walk(start: int, payload: tuple[Stop, ...]) -> None:
+        # Loop through pickups and forced drops (one item aboard); recurse only where the walk branches.
+        depth = len(assignment)
+        for idx in range(start, len(stops)):
+            stop = stops[idx]
+            if stop.is_vendor:
+                payload = tuple(sorted(payload + (stop,), key=_item_key))
+            elif len(payload) == 1:
+                assignment.append((stop.sid, payload[0]))
+                payload = ()
+            else:
+                for j, item in enumerate(payload):
+                    assignment.append((stop.sid, item))
+                    walk(idx + 1, payload[:j] + payload[j + 1:])
+                    assignment.pop()
+                break
+        else:
             branches.append(tuple(assignment))
-            return
-        stop = stops[idx]
-        if stop.is_vendor:
-            walk(idx + 1, tuple(sorted(payload + (stop,), key=_item_key)))
-            return
-        for j, item in enumerate(payload):
-            assignment.append((stop.sid, item))
-            walk(idx + 1, payload[:j] + payload[j + 1:])
-            assignment.pop()
+        del assignment[depth:]
 
     walk(0, ())
     if not branches:  # an unchecked route that drops from an empty payload
@@ -158,13 +165,19 @@ def posterior_matrix(route: Route, scenario: Scenario, *, check: bool = True) ->
     last = len(sizes) - 1
 
     def walk(k: int, payload: tuple[int, ...]) -> None:
-        payload += loads[k]
-        row, weight = rows[k], weights[k]
-        for col in payload:
-            row[col] += weight
-        if k < last:
-            for j in range(len(payload)):
-                walk(k + 1, payload[:j] + payload[j + 1:])
+        while True:  # through forced drops (one item aboard); recurse only where the walk branches
+            payload += loads[k]
+            row, weight = rows[k], weights[k]
+            for col in payload:
+                row[col] += weight
+            if k == last:
+                return
+            k += 1
+            if len(payload) != 1:
+                break
+            payload = ()
+        for j in range(len(payload)):
+            walk(k, payload[:j] + payload[j + 1:])
 
     if sizes:
         walk(0, ())

@@ -5,9 +5,8 @@ vendors by id, then decoys, then customers), so the route stream is
 deterministic and free of duplicates.  The walk carries each prefix's risk
 and clock state, so fronts and sweeps never rescan a route.  Risk objectives
 are exact rationals; wait objectives are floats computed in a fixed order, so
-fronts are bit-reproducible.  Front accumulation is merge-based: combining partial
-fronts from any partition of the route stream in any order yields the same
-result as one sequential pass.
+fronts are bit-reproducible.  A front keeps each point's smallest route and
+its exact tie count, so it does not depend on the order routes are offered in.
 
 Pareto fronts are exact by branch and bound (Land & Doig 1960) on the same
 walk: a prefix is cut when a route already walked is no riskier than the
@@ -32,6 +31,7 @@ from .model import DroneSpec, Route, Scenario, Stop, abstract_scenario, require_
 from .risk import privacy_risks
 
 MAX_ORDERS = 7
+MAX_ROUTES = math.factorial(2 * MAX_ORDERS) // 2**MAX_ORDERS  # the full decoy-free walk at n = 7: 681,080,400
 MAX_DECOY_BUDGET = 3
 MAX_FRONT_NODES = 20_000_000  # prefixes one pareto_front walk may visit
 MAX_WAIT_BOUND_STATES = 34_992  # the front's wait-bound table, 2n * 3^(n-1) states, at n = 8
@@ -91,21 +91,25 @@ def _check_budget(scenario: Scenario, decoy_budget: int) -> None:
         )
 
 
+def _route_total(scenario: Scenario, capacity: int, decoy_budget: int) -> tuple[int, str]:
+    """The number of valid routes and its text for a refusal; past the walk limit, n! and "at least n!"."""
+    routes = math.factorial(scenario.n)  # every walk holds the n! routes that serve one order at a time
+    if routes > MAX_ROUTES:  # refused either way; the counter would recurse 2n deep
+        return routes, f"at least {scenario.n}!"
+    routes = _route_counter(scenario.n_decoys, capacity, decoy_budget)(scenario.n, 0, decoy_budget)
+    return routes, f"{routes:,}"
+
+
 def _check_guards(scenario: Scenario, capacity: int, decoy_budget: int) -> None:
     """Refuse a walk over more routes than the full decoy-free walk at ``MAX_ORDERS`` orders."""
     _check_budget(scenario, decoy_budget)
     if decoy_budget > MAX_DECOY_BUDGET:
         raise GuardError(f"enumeration with decoy budget {decoy_budget} refused (limit {MAX_DECOY_BUDGET})")
-    n, limit = scenario.n, route_count_upper_bound(MAX_ORDERS, 0)
-    routes = math.factorial(n)  # every walk holds the n! routes that serve one order at a time
-    exact = routes <= limit  # past the limit, skip the counter: it recurses 2n deep
-    if exact:
-        routes = _route_counter(scenario.n_decoys, capacity, decoy_budget)(n, 0, decoy_budget)
-    if routes > limit:
-        size = f"{routes:,}" if exact else f"at least {n}!"
+    routes, size = _route_total(scenario, capacity, decoy_budget)
+    if routes > MAX_ROUTES:
         raise GuardError(
-            f"enumeration over n={n}, capacity {capacity}, decoy budget {decoy_budget} refused: "
-            f"{size} routes (limit {limit:,}, the full walk at n={MAX_ORDERS})"
+            f"enumeration over n={scenario.n}, capacity {capacity}, decoy budget {decoy_budget} refused: "
+            f"{size} routes (limit {MAX_ROUTES:,}, the full walk at n={MAX_ORDERS})"
         )
 
 
@@ -300,9 +304,8 @@ class ParetoAccumulator:
 
     Entries are kept with waits strictly ascending and risks strictly
     descending; equal objective vectors are collapsed into one entry with a
-    multiplicity count and the lexicographically smallest route.  ``merge``
-    is associative and commutative, so partitioned accumulation is
-    deterministic regardless of schedule.
+    multiplicity count and the lexicographically smallest route, so the
+    result does not depend on the order the routes are offered in.
     """
 
     def __init__(self):
@@ -311,7 +314,7 @@ class ParetoAccumulator:
         self.seqs: list[tuple[Stop, ...]] = []
         self.counts: list[int] = []
 
-    def offer(self, risk: Fraction, wait: float, seq: tuple[Stop, ...], count: int = 1) -> None:
+    def offer(self, risk: Fraction, wait: float, seq: tuple[Stop, ...]) -> None:
         waits, risks = self.waits, self.risks
         i = bisect_left(waits, wait)
         if i < len(waits) and waits[i] == wait:
@@ -319,7 +322,7 @@ class ParetoAccumulator:
             if existing < risk:
                 return
             if existing == risk:
-                self.counts[i] += count
+                self.counts[i] += 1
                 if tuple(s.sort_key for s in seq) < tuple(s.sort_key for s in self.seqs[i]):
                     self.seqs[i] = seq
                 return
@@ -333,11 +336,7 @@ class ParetoAccumulator:
         waits.insert(i, wait)
         risks.insert(i, risk)
         self.seqs.insert(i, seq)
-        self.counts.insert(i, count)
-
-    def merge(self, other: "ParetoAccumulator") -> None:
-        for risk, wait, seq, count in zip(other.risks, other.waits, other.seqs, other.counts):
-            self.offer(risk, wait, seq, count)
+        self.counts.insert(i, 1)
 
     def __len__(self) -> int:
         return len(self.waits)
@@ -478,18 +477,18 @@ def pareto_front(
         )
     _check_budget(scenario, decoy_budget)
     n, capacity = scenario.n, drone.capacity
-    count = _route_counter(scenario.n_decoys, capacity, decoy_budget)
     states = 2 * n * 3 ** (n - 1)
     if states > MAX_WAIT_BOUND_STATES or decoy_budget > MAX_DECOY_BUDGET:
         raise GuardError(
             f"front over n={n}, decoy budget {decoy_budget} refused (limits: a wait-bound table of "
             f"{states:,} states <= {MAX_WAIT_BOUND_STATES:,}, budget <= {MAX_DECOY_BUDGET}); "
-            f"{count(n, 0, decoy_budget):,} routes"
+            f"{_route_total(scenario, capacity, decoy_budget)[1]} routes"
         )
+    count = _route_counter(scenario.n_decoys, capacity, decoy_budget)
     average = risk_obj == "avg_risk"
 
-    # The walked routes' non-dominated (risk, wait) pairs; with the average objective the risk is the
-    # risk sum, n times the average.  Only their waits and risks are read.
+    # The walked routes' non-dominated (risk, wait) pairs (the risk sum for the average objective), which
+    # the cut reads; they end as the front, since every route that ties a front point is walked.
     incumbents = ParetoAccumulator()
     visited = cut_routes = 0
 
@@ -506,7 +505,7 @@ def pareto_front(
             if visited > MAX_FRONT_NODES:
                 raise GuardError(
                     f"front walk refused after {visited - 1:,} prefixes (budget {MAX_FRONT_NODES:,}); "
-                    f"{count(n, 0, decoy_budget):,} routes"
+                    f"{_route_total(scenario, capacity, decoy_budget)[1]} routes"
                 )
             if not inc_waits:
                 return False
@@ -537,29 +536,17 @@ def pareto_front(
 
         return cut
 
-    # Per exact risk value: [minimum wait, routes at exactly that wait, the first of them].  Only
-    # a minimum can reach the front, and the walk's order makes the first route the smallest.
-    best: dict[tuple[int, int], list] = {}
     state = _RouteState()
     walked = 0
     for seq in _sequences(scenario, capacity, decoy_budget, drone, state, prune):
         walked += 1
-        key = state.risk_sum if average else state.worst
-        wait = state.avg_wait
-        entry = best.get(key)
-        if entry is None or wait < entry[0]:
-            best[key] = [wait, 1, seq]
-            incumbents.offer(Fraction(*key), wait, seq)
-        elif wait == entry[0]:
-            entry[1] += 1
+        incumbents.offer(Fraction(*(state.risk_sum if average else state.worst)), state.avg_wait, seq)
 
-    # The incumbents are the front: every front point's routes were all walked.
-    points = []
-    for risk in incumbents.risks:
-        _, multiplicity, seq = best[risk.numerator, risk.denominator]
-        evaluation = evaluate(Route(seq), scenario, drone, check=False)
-        points.append(ParetoPoint(evaluation=evaluation, multiplicity=multiplicity))
-    return ParetoFront(objectives=(risk_obj, wait_obj), points=tuple(points),
+    points = tuple(
+        ParetoPoint(evaluation=evaluate(Route(seq), scenario, drone, check=False), multiplicity=ties)
+        for seq, ties in zip(incumbents.seqs, incumbents.counts)
+    )
+    return ParetoFront(objectives=(risk_obj, wait_obj), points=points,
                        total_routes=walked + cut_routes, routes_walked=walked)
 
 
@@ -583,25 +570,25 @@ def min_avg_risk_sweep(
     if min(n_values) < 1 or min(c_values) < 1 or min(d_values) < 0:
         raise ValueError("sweep ranges out of bounds")
     c_max = max(c_values)
-    table: dict[tuple[int, int, int], Fraction] = {}
+    cells = []  # every cell's guard passes before the first walk
     for n in n_values:
         for n_d in d_values:
-            scenario = abstract_scenario(n, n_d)
-            capacity = min(c_max, n)
-            _check_guards(scenario, capacity, n_d)
-            # Per peak payload, the least risk sum; the average is that sum over n.
-            best_by_peak: dict[int, tuple[int, int]] = {}
-            state = _RouteState()
-            for _ in _sequences(scenario, capacity, n_d, state=state):
-                nu, de = state.risk_sum
-                cur = best_by_peak.get(state.peak)
-                if cur is None or nu * cur[1] < cur[0] * de:
-                    best_by_peak[state.peak] = state.risk_sum
-            for c in c_values:
-                best: tuple[int, int] | None = None
-                for peak, (nu, de) in best_by_peak.items():
-                    if peak <= c and (best is None or nu * best[1] < best[0] * de):
-                        best = (nu, de)
-                table[(n, c, n_d)] = Fraction(best[0], best[1] * n)
+            cells.append((abstract_scenario(n, n_d), min(c_max, n), n_d))
+            _check_guards(*cells[-1])
+    table: dict[tuple[int, int, int], Fraction] = {}
+    for scenario, capacity, n_d in cells:
+        # Per peak payload, the least risk sum; the average is that sum over n.
+        best_by_peak: dict[int, tuple[int, int]] = {}
+        state = _RouteState()
+        for _ in _sequences(scenario, capacity, n_d, state=state):
+            nu, de = state.risk_sum
+            cur = best_by_peak.get(state.peak)
+            if cur is None or nu * cur[1] < cur[0] * de:
+                best_by_peak[state.peak] = state.risk_sum
+        for c in c_values:
+            best: tuple[int, int] | None = None
+            for peak, (nu, de) in best_by_peak.items():
+                if peak <= c and (best is None or nu * best[1] < best[0] * de):
+                    best = (nu, de)
+            table[(scenario.n, c, n_d)] = Fraction(best[0], best[1] * scenario.n)
     return table
-

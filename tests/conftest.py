@@ -93,29 +93,17 @@ def brute_force_routes(scenario: Scenario, capacity: int, decoy_budget: int = 0)
 def exhaustive_front(
     scenario: Scenario, drone: DroneSpec, objectives: tuple[str, str], decoy_budget: int = 0
 ) -> ParetoFront:
-    """The Pareto front by scoring every route the walker yields, with no cut (the pruned walk's oracle)."""
+    """The Pareto front by offering every route the walker yields to one accumulator, with no cut
+    (the pruned walk's oracle)."""
     average = objectives[0] == "avg_risk"
-    n = scenario.n
-    # Per exact risk value: [minimum wait, routes at exactly that wait, the first of them].
-    best: dict[tuple[int, int], list] = {}
+    front = ParetoAccumulator()
     state = _RouteState()
     total = 0
     for seq in _sequences(scenario, drone.capacity, decoy_budget, drone, state):
         total += 1
-        key = state.risk_sum if average else state.worst
-        wait = state.avg_wait
-        entry = best.get(key)
-        if entry is None:
-            best[key] = [wait, 1, seq]
-        elif wait < entry[0]:
-            entry[:] = wait, 1, seq
-        elif wait == entry[0]:
-            entry[1] += 1
-    front = ParetoAccumulator()
-    for (num, den), (wait, count, seq) in best.items():
-        front.offer(Fraction(num, den * n) if average else Fraction(num, den), wait, seq, count)
+        front.offer(Fraction(*(state.risk_sum if average else state.worst)), state.avg_wait, seq)
     points = tuple(
-        ParetoPoint(evaluation=evaluate(Route(seq), scenario, drone, check=False), multiplicity=count)
-        for seq, count in zip(front.seqs, front.counts)
+        ParetoPoint(evaluation=evaluate(Route(seq), scenario, drone, check=False), multiplicity=ties)
+        for seq, ties in zip(front.seqs, front.counts)
     )
     return ParetoFront(objectives=objectives, points=points, total_routes=total, routes_walked=total)

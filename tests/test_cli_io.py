@@ -127,6 +127,14 @@ def test_cli_guard_exits_4(tmp_path, capsys):
     assert "refused" in err
 
 
+def test_cli_pareto_on_600_orders_exits_4(tmp_path, capsys):
+    path = tmp_path / "s.json"
+    assert main(["gen", "--topology", "uniform", "--n", "600", "--seed", "1", "--out", str(path)]) == 0
+    capsys.readouterr()
+    assert main(["pareto", "--scenario", str(path), "--capacity", "600"]) == 4
+    assert "at least 600! routes" in capsys.readouterr().err
+
+
 def test_cli_oracle_output(tmp_path, capsys):
     path = tmp_path / "s.json"
     main(["gen", "--topology", "uniform", "--n", "3", "--seed", "2", "--out", str(path)])

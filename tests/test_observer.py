@@ -179,6 +179,33 @@ def test_branch_guard_admits_twelve_orders_served_one_at_a_time():
     assert len(enumerate_worlds(route, scenario)) == 1
 
 
+def _one_at_a_time(n):
+    return tuple(s for i in range(n) for s in (Stop("v", i + 1), Stop("a", i + 1)))
+
+
+def test_world_walk_loops_through_forced_drops_of_a_600_order_route():
+    """Only drops with two or more items aboard branch, so D = 1 routes are not limited by recursion depth."""
+    scenario = abstract_scenario(600)
+    worlds = enumerate_worlds(Route(_one_at_a_time(600)), scenario)
+    assert len(worlds) == 1 and worlds[0].probability == 1
+    assert worlds[0].assignment == tuple((i + 1, Stop("v", i + 1)) for i in range(600))
+    # The last two orders aggregated: 598 forced drops, then one branch.
+    tail = (Stop("v", 599), Stop("v", 600), Stop("a", 600), Stop("a", 599))
+    worlds = enumerate_worlds(Route(_one_at_a_time(598) + tail), scenario)
+    assert [w.probability for w in worlds] == [F(1, 2)] * 2
+    assert [w.assignment[-2:] for w in worlds] == [
+        ((600, Stop("v", 599)), (599, Stop("v", 600))), ((600, Stop("v", 600)), (599, Stop("v", 599))),
+    ]
+    assert worlds[0].assignment[:598] == worlds[1].assignment[:598]
+
+
+def test_posterior_of_a_1000_order_route_served_one_at_a_time_is_the_identity():
+    scenario = abstract_scenario(1000)
+    posterior = posterior_matrix(Route(_one_at_a_time(1000)), scenario)
+    assert posterior.worlds == 1
+    assert all(row[i] == 1 and not any(row[:i] + row[i + 1:]) for i, row in enumerate(posterior.rows))
+
+
 def test_invalid_route_rejected():
     with pytest.raises(ValueError):
         enumerate_worlds(parse_route("a1,v1"), abstract_scenario(1))

@@ -320,6 +320,12 @@ def test_front_guard_allows_n8_and_refuses_n9():
         pareto_front(generate("uniform", 9, seed=0), DroneSpec(capacity=9))
 
 
+def test_front_guard_refuses_600_orders_without_counting_them():
+    """Past the walk limit the refusal says "at least n!" instead of running the 2n-deep count."""
+    with pytest.raises(GuardError, match=r"at least 600! routes"):
+        pareto_front(abstract_scenario(600), DroneSpec(capacity=600))
+
+
 def _max_load(stops):
     load = peak = 0
     for stop in stops:
@@ -408,16 +414,16 @@ def test_pareto_rejects_bad_objectives():
         pareto_front(fixture, DroneSpec(capacity=2), objectives=("avg_wait", "avg_risk"))
 
 
-def test_accumulator_merge_is_schedule_independent():
+def test_accumulator_is_independent_of_offer_order():
     import random
 
     rng = random.Random(99)
     points = []
-    for i in range(120):
+    for i in range(60):
         risk = F(rng.randrange(1, 30), 30)
         wait = float(rng.randrange(1, 40))
-        seq = (Stop("v", i + 1), Stop("a", i + 1))
-        points.append((risk, wait, seq))
+        for sid in (i + 1, i + 61):  # two routes per objective vector: an exact tie
+            points.append((risk, wait, (Stop("v", sid), Stop("a", sid))))
 
     def build(ordered):
         acc = ParetoAccumulator()
@@ -426,17 +432,15 @@ def test_accumulator_merge_is_schedule_independent():
         return acc
 
     sequential = build(points)
-    shuffled = points[:]
-    rng.shuffle(shuffled)
-    merged = build(shuffled[:40])
-    part_b = build(shuffled[40:90])
-    part_c = build(shuffled[90:])
-    merged.merge(part_b)
-    merged.merge(part_c)
-    assert merged.waits == sequential.waits
-    assert merged.risks == sequential.risks
-    assert merged.counts == sequential.counts
-    assert merged.seqs == sequential.seqs
+    assert min(sequential.counts) >= 2
+    for _ in range(5):
+        shuffled = points[:]
+        rng.shuffle(shuffled)
+        acc = build(shuffled)
+        assert acc.waits == sequential.waits
+        assert acc.risks == sequential.risks
+        assert acc.counts == sequential.counts
+        assert acc.seqs == sequential.seqs
 
 
 def test_sweep_reference_cells():
@@ -457,6 +461,16 @@ def test_sweep_matches_direct_enumeration():
         for route in enumerate_routes(scenario, DroneSpec(capacity=2), decoy_budget=1)
     )
     assert table[(3, 2, 1)] == direct
+
+
+def test_sweep_checks_every_guard_before_its_first_walk(monkeypatch):
+    """n = 7 at capacity 7 is allowed (681,080,400 routes, about half an hour); n = 8 is refused first."""
+    def no_walk(*args, **kwargs):
+        raise AssertionError("the sweep walked before it refused")
+
+    monkeypatch.setattr(search, "_sequences", no_walk)
+    with pytest.raises(GuardError, match="n=8"):
+        min_avg_risk_sweep(range(7, 9), [8], [0])
 
 
 def test_sweep_rejects_empty_or_bad_ranges():

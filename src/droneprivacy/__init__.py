@@ -31,7 +31,6 @@ from .io import (
     ScenarioFile,
     format_fraction,
     load_scenario,
-    parse_fraction,
     save_scenario,
     write_front_csv,
     write_sweep_csv,
@@ -115,7 +114,6 @@ __all__ = [
     "min_avg_risk_sweep",
     "ordering_search_is_exact",
     "pareto_front",
-    "parse_fraction",
     "parse_route",
     "parse_stop",
     "posterior_matrix",

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import chain
 from typing import Literal, Sequence
 
 import numpy as np
@@ -38,14 +39,17 @@ def wait_times(route: Route, scenario: Scenario, motion: MotionModel | DroneSpec
     completed before reaching a customer contributes ``stop_duration``; every
     leg contributes ``distance / speed``.  A customer's own service time is
     not part of its wait.  ``motion`` is a :class:`MotionModel` or a drone,
-    which carries the same two numbers.
+    which carries the same two numbers.  Raises ``ValueError`` when the
+    average wait overflows to infinity.
     """
     if check:
         require_valid(route, scenario)
     waits = tuple(order_waits(route.stops, scenario, motion))
+    if not math.isfinite(average := sum(waits) / len(waits)):
+        raise ValueError(f"the route's average wait is {average}: its legs are too long to time")
     return WaitReport(
         waits=waits,
-        average=sum(waits) / len(waits),
+        average=average,
         customer_ids=tuple(c.id for c in scenario.customers),
     )
 
@@ -71,10 +75,14 @@ def leg_times(
     stops: Sequence[Stop], scenario: Scenario, motion: MotionModel | DroneSpec
 ) -> list[list[float]]:
     """Clock increment between every pair of ``stops``: ``table[i][j]`` is the term
-    :func:`order_waits` adds for a leg from ``stops[i]`` to ``stops[j]``, bit for bit."""
+    :func:`order_waits` adds for a leg from ``stops[i]`` to ``stops[j]``, bit for bit.
+    Raises ``ValueError`` when a leg's time overflows to infinity."""
     points = [scenario.coords[stop.kind, stop.sid] for stop in stops]
     speed, stop_s = motion.speed, motion.stop_duration
-    return [[stop_s + math.hypot(x - px, y - py) / speed for x, y in points] for px, py in points]
+    table = [[stop_s + math.hypot(x - px, y - py) / speed for x, y in points] for px, py in points]
+    if not all(map(math.isfinite, chain.from_iterable(table))):
+        raise ValueError("a leg between the scenario's sites is too long to time")
+    return table
 
 
 def travel_length(stops: Sequence[Stop], scenario: Scenario) -> float:

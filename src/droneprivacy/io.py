@@ -1,8 +1,8 @@
 """Serialization: scenario JSON files, result CSVs, exact rational strings.
 
-Rationals cross file boundaries as ``"num/den"`` strings so exactness
-survives; decimal renderings are display-only.  All writers are
-deterministic: identical inputs produce byte-identical files.
+Rationals cross file boundaries as ``"num/den"`` strings, which
+``Fraction(text)`` reads back exactly; decimal renderings are display-only.
+All writers are deterministic: identical inputs produce byte-identical files.
 """
 
 from __future__ import annotations
@@ -31,11 +31,6 @@ class ScenarioFile:
 
 def format_fraction(value: Fraction) -> str:
     return f"{value.numerator}/{value.denominator}"
-
-
-def parse_fraction(text: str) -> Fraction:
-    num, _, den = text.partition("/")
-    return Fraction(int(num), int(den)) if den else Fraction(int(num))
 
 
 def scenario_file_to_dict(sf: ScenarioFile) -> dict:
@@ -69,6 +64,13 @@ def _integral(value) -> int:
     return number
 
 
+def _real(value) -> float:
+    """A scenario file coordinate or motion value: a finite number, or a string that is one; never a bool."""
+    if isinstance(value, bool) or not math.isfinite(number := float(value)):
+        raise ValueError(f"scenario coordinates and motion values must be finite numbers, got {value!r}")
+    return number
+
+
 def _flag(value) -> bool:
     if not isinstance(value, bool):
         raise ValueError(f"a vendor's decoy flag must be true or false, got {value!r}")
@@ -78,40 +80,37 @@ def _flag(value) -> bool:
 def scenario_file_from_dict(data) -> ScenarioFile:
     """Build a scenario file from parsed JSON; the one boundary check for scenario files.
 
-    Any malformed input (a non-object top level, a missing key, a non-numeric
-    or non-finite coordinate or motion value, a fractional or negative id, a
-    decoy flag that is not a JSON boolean, ...) raises ``ValueError``.
+    Any malformed input (a non-object top level, a missing key, a boolean,
+    non-numeric or non-finite coordinate or motion value, a fractional or
+    negative id, a decoy flag that is not a JSON boolean, a boolean
+    ``format_version``, ...) raises ``ValueError``.
     """
     if not isinstance(data, dict):
         raise ValueError(f"a scenario file must hold a JSON object, not {type(data).__name__}")
     version = data.get("format_version")
-    if version != FORMAT_VERSION:
+    if isinstance(version, bool) or version != FORMAT_VERSION:
         raise ValueError(f"unsupported scenario format_version {version!r}")
     try:
         vendors = tuple(
-            VendorSite(id=_integral(v["id"]), x=float(v["x"]), y=float(v["y"]),
+            VendorSite(id=_integral(v["id"]), x=_real(v["x"]), y=_real(v["y"]),
                        decoy=_flag(v.get("decoy", False)))
             for v in data["vendors"]
         )
         customers = tuple(
-            CustomerSite(id=_integral(c["id"]), x=float(c["x"]), y=float(c["y"]),
+            CustomerSite(id=_integral(c["id"]), x=_real(c["x"]), y=_real(c["y"]),
                          vendor_id=_integral(c["vendor_id"]))
             for c in data["customers"]
         )
         motion = None
         if "motion" in data:
             motion = MotionModel(
-                speed=float(data["motion"]["speed_mps"]),
-                stop_duration=float(data["motion"]["stop_duration_s"]),
+                speed=_real(data["motion"]["speed_mps"]),
+                stop_duration=_real(data["motion"]["stop_duration_s"]),
             )
     except KeyError as exc:
         raise ValueError(f"scenario file is missing key {exc.args[0]!r}") from None
     except (TypeError, AttributeError, OverflowError) as exc:
         raise ValueError(f"malformed scenario file: {exc}") from None
-    numbers = [xy for site in vendors + customers for xy in (site.x, site.y)]
-    numbers += [motion.speed, motion.stop_duration] if motion else []
-    if not all(map(math.isfinite, numbers)):
-        raise ValueError("scenario coordinates and motion values must be finite")
     return ScenarioFile(scenario=Scenario(vendors=vendors, customers=customers),
                         name=str(data.get("name", "scenario")), motion=motion)
 

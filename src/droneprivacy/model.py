@@ -97,10 +97,6 @@ class Route:
     def sort_key(self) -> tuple[tuple[int, int], ...]:
         return tuple(s.sort_key for s in self.stops)
 
-    @property
-    def used_decoys(self) -> int:
-        return sum(1 for s in self.stops if s.kind == "d")
-
     def __str__(self) -> str:
         return self.tokens
 
@@ -161,7 +157,7 @@ class Scenario:
 
     @property
     def n_decoys(self) -> int:
-        return sum(1 for v in self.vendors if v.decoy)
+        return len(self.decoy_vendors)
 
     @cached_property
     def real_vendors(self) -> tuple[VendorSite, ...]:

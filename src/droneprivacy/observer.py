@@ -17,6 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import attrgetter
 
 from .errors import GuardError
 from .model import Route, Scenario, Stop, require_valid
@@ -101,7 +102,7 @@ def enumerate_worlds(route: Route, scenario: Scenario, *, check: bool = True) ->
         for idx in range(start, len(stops)):
             stop = stops[idx]
             if stop.is_vendor:
-                payload = tuple(sorted(payload + (stop,), key=_item_key))
+                payload = tuple(sorted(payload + (stop,), key=attrgetter("sort_key")))
             elif len(payload) == 1:
                 assignment.append((stop.sid, payload[0]))
                 payload = ()
@@ -120,10 +121,6 @@ def enumerate_worlds(route: Route, scenario: Scenario, *, check: bool = True) ->
         return ()
     probability = Fraction(1, len(branches))
     return tuple(ObserverWorld(assignment=key, probability=probability) for key in branches)
-
-
-def _item_key(stop: Stop) -> tuple[int, int]:
-    return stop.sort_key
 
 
 def posterior_matrix(route: Route, scenario: Scenario, *, check: bool = True) -> PosteriorMatrix:

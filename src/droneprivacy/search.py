@@ -22,6 +22,7 @@ import math
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from itertools import compress
 from typing import Callable, Iterable, Iterator
 
@@ -31,7 +32,6 @@ from .model import DroneSpec, Route, Scenario, Stop, abstract_scenario, require_
 from .risk import privacy_risks
 
 MAX_ORDERS = 7
-MAX_ROUTES = math.factorial(2 * MAX_ORDERS) // 2**MAX_ORDERS  # the full decoy-free walk at n = 7: 681,080,400
 MAX_DECOY_BUDGET = 3
 MAX_FRONT_NODES = 20_000_000  # prefixes one pareto_front walk may visit
 MAX_WAIT_BOUND_STATES = 34_992  # the front's wait-bound table, 2n * 3^(n-1) states, at n = 8
@@ -116,11 +116,11 @@ def _check_guards(scenario: Scenario, capacity: int, decoy_budget: int) -> None:
 def route_count_upper_bound(n: int, decoy_budget: int) -> int:
     """Route count for capacity >= n: (2n)!/2^n base orderings times decoy insertions."""
     base = math.factorial(2 * n) // 2**n
-    inserts = sum(
-        math.comb(decoy_budget, k) * math.factorial(2 * n + k) // math.factorial(2 * n)
-        for k in range(decoy_budget + 1)
-    )
+    inserts = sum(math.comb(decoy_budget, k) * math.perm(2 * n + k, k) for k in range(decoy_budget + 1))
     return base * inserts
+
+
+MAX_ROUTES = route_count_upper_bound(MAX_ORDERS, 0)  # the full decoy-free walk at n = 7: 681,080,400
 
 
 def enumerate_routes(scenario: Scenario, drone: DroneSpec, decoy_budget: int = 0) -> Iterator[Route]:
@@ -350,21 +350,16 @@ def _route_counter(n_decoys: int, capacity: int, decoy_budget: int) -> Callable[
     of any item aboard.  A prefix with every order delivered is itself a
     route, and trailing decoys extend it.
     """
-    memo: dict[tuple[int, int, int], int] = {}
-
+    @cache
     def count(unpicked, aboard, decoys_left):
-        key = (unpicked, aboard, decoys_left)
-        total = memo.get(key)
-        if total is None:
-            total = 0 if unpicked or aboard else 1
-            if unpicked and aboard < capacity:
-                total += unpicked * count(unpicked - 1, aboard + 1, decoys_left)
-            if decoys_left:
-                unused = n_decoys - decoy_budget + decoys_left
-                total += unused * count(unpicked, aboard, decoys_left - 1)
-            if aboard:
-                total += aboard * count(unpicked, aboard - 1, decoys_left)
-            memo[key] = total
+        total = 0 if unpicked or aboard else 1
+        if unpicked and aboard < capacity:
+            total += unpicked * count(unpicked - 1, aboard + 1, decoys_left)
+        if decoys_left:
+            unused = n_decoys - decoy_budget + decoys_left
+            total += unused * count(unpicked, aboard, decoys_left - 1)
+        if aboard:
+            total += aboard * count(unpicked, aboard - 1, decoys_left)
         return total
 
     return count
@@ -382,23 +377,19 @@ def _wait_to_go(
     (triangle inequality, stop times >= 0).
     """
     n = len(reals)
-    memo: dict[tuple[int, int, int], float] = {}
 
+    @cache
     def togo(picked, dropped, last):
-        key = (picked, dropped, last)
-        best = memo.get(key)
-        if best is None:
-            undelivered = n - dropped.bit_count()
-            best = math.inf if undelivered else 0.0
-            row = legs[last]
-            if (picked ^ dropped).bit_count() < capacity:
-                for k, pos in reals:
-                    if not picked >> pos & 1:
-                        best = min(best, undelivered * row[k] + togo(picked | 1 << pos, dropped, k))
-            for k, pos in custs:
-                if picked >> pos & 1 and not dropped >> pos & 1:
-                    best = min(best, undelivered * row[k] + togo(picked, dropped | 1 << pos, k))
-            memo[key] = best
+        undelivered = n - dropped.bit_count()
+        best = math.inf if undelivered else 0.0
+        row = legs[last]
+        if (picked ^ dropped).bit_count() < capacity:
+            for k, pos in reals:
+                if not picked >> pos & 1:
+                    best = min(best, undelivered * row[k] + togo(picked | 1 << pos, dropped, k))
+        for k, pos in custs:
+            if picked >> pos & 1 and not dropped >> pos & 1:
+                best = min(best, undelivered * row[k] + togo(picked, dropped | 1 << pos, k))
         return best
 
     return togo
@@ -419,34 +410,29 @@ def _risk_to_go(capacity: int, decoy_budget: int) -> Callable[..., tuple[int, in
     outside a run or with nothing aboard) and the decoys left.  The moves and
     their risks are the walk's; the result is exact, a reduced pair.
     """
-    memo: dict[tuple, tuple[int, int]] = {}
-
+    @cache
     def togo(unpicked, ratios, frozen, decoys_left):
-        key = (unpicked, ratios, frozen, decoys_left)
-        best = memo.get(key)
-        if best is None:
-            aboard = len(ratios)
-            payload = aboard + decoy_budget - decoys_left
-            options = [] if unpicked or aboard else [(0, 1)]
-            closed = ratios  # after a vendor or decoy stop, which ends the customer run
-            if frozen:
-                closed = tuple(sorted(_reduced(a * payload, b * frozen) for a, b in ratios))
-            if unpicked and aboard < capacity:
-                options.append(togo(unpicked - 1, tuple(sorted(closed + ((1, 1),))), 0, decoys_left))
-            if decoys_left:
-                options.append(togo(unpicked, closed, 0, decoys_left - 1))
-            run = frozen or payload
-            for j, (a, b) in enumerate(ratios):
-                if j and ratios[j - 1] == (a, b):
-                    continue  # the same ratio again: the same completions
-                rest = ratios[:j] + ratios[j + 1:]
-                tn, td = togo(unpicked, rest, run if rest else 0, decoys_left)
-                options.append(_reduced(a * td + tn * b * run, b * run * td))
-            best = options[0]
-            for other in options[1:]:
-                if other[0] * best[1] < best[0] * other[1]:
-                    best = other
-            memo[key] = best
+        aboard = len(ratios)
+        payload = aboard + decoy_budget - decoys_left
+        options = [] if unpicked or aboard else [(0, 1)]
+        closed = ratios  # after a vendor or decoy stop, which ends the customer run
+        if frozen:
+            closed = tuple(sorted(_reduced(a * payload, b * frozen) for a, b in ratios))
+        if unpicked and aboard < capacity:
+            options.append(togo(unpicked - 1, tuple(sorted(closed + ((1, 1),))), 0, decoys_left))
+        if decoys_left:
+            options.append(togo(unpicked, closed, 0, decoys_left - 1))
+        run = frozen or payload
+        for j, (a, b) in enumerate(ratios):
+            if j and ratios[j - 1] == (a, b):
+                continue  # the same ratio again: the same completions
+            rest = ratios[:j] + ratios[j + 1:]
+            tn, td = togo(unpicked, rest, run if rest else 0, decoys_left)
+            options.append(_reduced(a * td + tn * b * run, b * run * td))
+        best = options[0]
+        for other in options[1:]:
+            if other[0] * best[1] < best[0] * other[1]:
+                best = other
         return best
 
     return togo

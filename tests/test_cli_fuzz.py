@@ -16,7 +16,7 @@ from hypothesis import given, settings, strategies as st
 
 from droneprivacy.cli import main
 
-NON_FINITE = (math.nan, math.inf, -math.inf)
+NOT_REAL = (math.nan, math.inf, -math.inf, True, False)  # non-finite, or a JSON boolean
 BAD_IDS = st.one_of(
     st.integers(0, 3).map(lambda k: k + 0.5),  # fractional
     st.integers(-3, -1),
@@ -47,11 +47,14 @@ def malformed_files(draw):
     n = draw(st.integers(1, 3))
     data = _scenario(n, draw(st.booleans()))
     sites = data["vendors"] + data["customers"]
-    fault = draw(st.sampled_from(["coordinate", "motion", "id", "missing-key", "top-level", "not-json"]))
+    faults = ["coordinate", "motion", "version", "id", "missing-key", "top-level", "not-json"]
+    fault = draw(st.sampled_from(faults))
     if fault == "coordinate":
-        draw(st.sampled_from(sites))[draw(st.sampled_from("xy"))] = draw(st.sampled_from(NON_FINITE))
+        draw(st.sampled_from(sites))[draw(st.sampled_from("xy"))] = draw(st.sampled_from(NOT_REAL))
     elif fault == "motion":
-        data["motion"][draw(st.sampled_from(sorted(data["motion"])))] = draw(st.sampled_from(NON_FINITE))
+        data["motion"][draw(st.sampled_from(sorted(data["motion"])))] = draw(st.sampled_from(NOT_REAL))
+    elif fault == "version":
+        data["format_version"] = draw(st.booleans())
     elif fault == "id":
         site = draw(st.sampled_from(sites))
         site[draw(st.sampled_from(["id", "vendor_id"] if "vendor_id" in site else ["id"]))] = draw(BAD_IDS)

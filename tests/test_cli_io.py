@@ -15,7 +15,6 @@ from droneprivacy import (
     format_fraction,
     generate,
     load_scenario,
-    parse_fraction,
     parse_route,
     pareto_front,
     save_scenario,
@@ -30,9 +29,9 @@ from droneprivacy.cli import main
 
 def test_fraction_round_trip():
     for value in (F(5, 12), F(1), F(0), F(13, 75), F(7, 3)):
-        assert parse_fraction(format_fraction(value)) == value
+        assert F(format_fraction(value)) == value
     assert format_fraction(F(1)) == "1/1"
-    assert parse_fraction("3") == F(3)
+    assert F("3") == F(3)
 
 
 def test_scenario_round_trip(tmp_path):
@@ -65,7 +64,7 @@ def test_front_csv_columns_and_exact_risks(tmp_path):
         "n", "c", "n_d", "route", "avg_risk", "worst_risk", "avg_wait", "heuristic_tag", "multiplicity",
     ]
     assert rows[0]["avg_risk"] == "1/2"
-    assert parse_fraction(rows[0]["avg_risk"]) == F(1, 2)
+    assert F(rows[0]["avg_risk"]) == F(1, 2)
     assert float(rows[0]["avg_wait"]) == pytest.approx(2.5)
     assert rows[0]["multiplicity"] == "2"
     assert parse_route(rows[0]["route"]).tokens == rows[0]["route"]
@@ -269,6 +268,11 @@ _MALFORMED_SCENARIOS = {
         lambda d: d["vendors"].append({"id": -2, "x": 0.0, "y": 0.0, "decoy": True})),
     "negative-string-vendor-id": _one_order_file(
         lambda d: (d["vendors"][0].update(id="-1"), d["customers"][0].update(vendor_id="-1"))),
+    "boolean-vendor-x": _one_order_file(lambda d: d["vendors"][0].update(x=True)),
+    "boolean-customer-y": _one_order_file(lambda d: d["customers"][0].update(y=False)),
+    "boolean-speed": _one_order_file(lambda d: d["motion"].update(speed_mps=True)),
+    "boolean-stop-duration": _one_order_file(lambda d: d["motion"].update(stop_duration_s=False)),
+    "boolean-format-version": _one_order_file(lambda d: d.update(format_version=True)),
 }
 
 
@@ -294,6 +298,33 @@ def test_cli_malformed_scenario_file_exits_3_without_traceback(tmp_path, case):
     assert proc.stderr.startswith("error: ")
     if case.startswith("negative-"):  # refused at load, not later by a route stop that cannot name the site
         assert "scenario ids must be non-negative" in proc.stderr
+
+
+_OVERFLOWING_SCENARIOS = {
+    # The leg v1 -> v2 is 2e308 m long, past the largest float.
+    "far-vendors": {"vendors": [{"id": 1, "x": -1e308, "y": 0.0}, {"id": 2, "x": 1e308, "y": 0.0}]},
+    # A subnormal speed passes as positive and finite, but 900 m at 1e-320 m/s is not.
+    "subnormal-speed": {"motion": {"speed_mps": 1e-320, "stop_duration_s": 60.0}},
+}
+
+
+@pytest.mark.parametrize("case", sorted(_OVERFLOWING_SCENARIOS))
+@pytest.mark.parametrize("command", ["eval", "pareto"])
+def test_cli_waits_too_long_to_time_exit_3(tmp_path, capsys, command, case):
+    data = {
+        "format_version": 1,
+        "vendors": [{"id": 1, "x": -450.0, "y": 0.0}, {"id": 2, "x": 450.0, "y": 0.0}],
+        "customers": [{"id": 1, "x": 0.0, "y": 0.0, "vendor_id": 1},
+                      {"id": 2, "x": 0.0, "y": 1.0, "vendor_id": 2}],
+        **_OVERFLOWING_SCENARIOS[case],
+    }
+    path = tmp_path / "far.json"
+    path.write_text(json.dumps(data))
+    args = ["--route", "v1,v2,a1,a2"] if command == "eval" else []
+    assert main([command, "--scenario", str(path), "--capacity", "2", *args]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and "too long to time" in captured.err
 
 
 _MOTION_FLAGS = {"no-flag": [], "speed-flag": ["--speed", "5"], "stop-flag": ["--stop-duration", "7"]}

@@ -13,6 +13,7 @@ from droneprivacy import (
     abstract_scenario,
     generate,
     parse_route,
+    pareto_front,
     unit_square_fixture,
     wait_times,
 )
@@ -90,6 +91,35 @@ def test_average_wait_is_the_mean():
     report = wait_times(route, scenario, motion)
     mean = sum(report.waits) / len(report.waits)
     assert abs(report.average - mean) <= 1e-12 * max(1.0, abs(mean))
+
+
+def _two_orders(vendor_x: float, customer_x: float):
+    from droneprivacy import CustomerSite, Scenario, VendorSite
+
+    return Scenario(
+        vendors=(VendorSite(1, -vendor_x, 0.0), VendorSite(2, vendor_x, 0.0)),
+        customers=(CustomerSite(1, customer_x, 0.0, vendor_id=1),
+                   CustomerSite(2, customer_x, 1.0, vendor_id=2)),
+    )
+
+
+def test_waits_too_long_to_time_are_refused():
+    """Finite sites and motion whose legs or waits overflow raise instead of timing a route as inf."""
+    route = parse_route("v1,v2,a1,a2")
+    cases = [
+        (_two_orders(1e308, 0.0), DroneSpec(capacity=2)),  # vendors at x = +-1e308
+        (_two_orders(450.0, 0.0), MotionModel(speed=1e-320, stop_duration=0.0)),  # a subnormal speed
+    ]
+    for scenario, motion in cases:
+        with pytest.raises(ValueError, match="too long to time"):
+            leg_times(list(route), scenario, motion)
+        with pytest.raises(ValueError, match="too long to time"):
+            wait_times(route, scenario, motion)
+    # Every leg is finite but no route's wait sum is: the front's points are refused when re-evaluated.
+    scenario, drone = _two_orders(0.0, 1.2e308), DroneSpec(capacity=2, speed=1.0, stop_duration=0.0)
+    assert max(map(max, leg_times(list(route), scenario, drone))) < math.inf
+    with pytest.raises(ValueError, match="too long to time"):
+        pareto_front(scenario, drone)
 
 
 def test_generators_are_deterministic_in_seed():

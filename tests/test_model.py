@@ -116,7 +116,7 @@ def test_route_length_is_orders_twice_plus_decoys():
     scenario = abstract_scenario(2, n_decoys=2)
     route = parse_route("v1,d2,a1,v2,d1,a2")
     assert validate_route(route, scenario, DroneSpec(capacity=2)).ok
-    assert len(route) == 2 * scenario.n + route.used_decoys
+    assert len(route) == 2 * scenario.n + sum(s.kind == "d" for s in route)
 
 
 def test_scenario_rejects_bad_wiring():

@@ -75,7 +75,7 @@ def test_fast_engine_matches_oracle_on_samples(case):
 def test_risks_are_probabilities_and_worst_case_floor(case):
     scenario, route, _ = case
     report = privacy_risks(route, scenario)
-    used = route.used_decoys
+    used = sum(s.kind == "d" for s in route)
     for risk in report.risks:
         assert 0 < risk <= 1
     assert report.worst_case >= F(1, scenario.n + used)
@@ -92,7 +92,7 @@ def test_decomposition_partitions_and_length_accounting(case):
     for k, (lo, hi) in enumerate(segments):
         assert lo < hi
         assert all(stop.is_vendor == (k % 2 == 0) for stop in route.stops[lo:hi])
-    assert len(route) == 2 * scenario.n + route.used_decoys
+    assert len(route) == 2 * scenario.n + sum(s.kind == "d" for s in route)
 
 
 @settings(max_examples=60, deadline=None)

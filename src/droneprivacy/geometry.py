@@ -1,18 +1,18 @@
 """Scenario geometry: generators, fixtures, leg times, and the customer wait-time model.
 
-Generators are pure functions of their seed and parameters (PCG64 via
-``numpy.random.default_rng``); the saved scenario file, not the seed, is the
-interchange artifact.
+Generators are pure functions of their seed and parameters.  They draw from
+PCG64 seeded as ``numpy.random.default_rng(seed)`` does, bit for bit, without
+importing numpy; the saved scenario file, not the seed, is the interchange
+artifact.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
-from itertools import chain
+from itertools import chain, permutations, product
 from typing import Literal, Sequence
-
-import numpy as np
 
 from .model import CustomerSite, DroneSpec, MotionModel, Route, Scenario, Stop, VendorSite, require_valid
 
@@ -149,7 +149,7 @@ def generate(
         raise ValueError("decoy count must be non-negative")
     if extent_m <= 0:
         raise ValueError("extent must be positive")
-    rng = np.random.default_rng(seed)
+    rng = _PCG64(seed)
 
     if topology == "uniform":
         vendor_xy = [_uniform_point(rng, extent_m) for _ in range(n + n_decoys)]
@@ -199,8 +199,67 @@ def generate(
     return Scenario(vendors=tuple(vendors), customers=tuple(customers))
 
 
+_MASK32, _MASK64, _MASK128 = 2**32 - 1, 2**64 - 1, 2**128 - 1
+
+
+def _hasher(const: int, mult: int):
+    """numpy ``SeedSequence``'s hashmix: a multiply-xorshift hash whose constant advances each call."""
+    def hashmix(value):
+        nonlocal const
+        value ^= const
+        const = const * mult & _MASK32
+        value = value * const & _MASK32
+        return value ^ value >> 16
+
+    return hashmix
+
+
+def _mix(x: int, y: int) -> int:
+    """numpy ``SeedSequence``'s mix of two pool words."""
+    x = (0xCA01F9DD * x - 0x4973F715 * y) & _MASK32
+    return x ^ x >> 16
+
+
+class _PCG64:
+    """The uniform stream of ``numpy.random.default_rng(seed)``, bit for bit.
+
+    numpy's ``SeedSequence`` hashes the seed's 32-bit words into a pool of four and draws from it
+    the 128-bit state and increment of PCG64 (O'Neill 2014), seeded by ``srandom``.  A draw steps
+    the LCG and takes its XSL-RR output; ``uniform`` scales its top 53 bits as numpy does.
+    """
+
+    def __init__(self, seed: int):
+        seed = operator.index(seed)  # TypeError for a non-integer, as numpy
+        if seed < 0:
+            raise ValueError("expected non-negative integer")
+        entropy = [seed >> shift & _MASK32 for shift in range(0, max(seed.bit_length(), 1), 32)]
+        hashmix = _hasher(0x43B0D7E5, 0x931E8875)
+        pool = [hashmix(word) for word in (entropy + [0] * 3)[:4]]
+        for src, dst in permutations(range(4), 2):
+            pool[dst] = _mix(pool[dst], hashmix(pool[src]))
+        for word, dst in product(entropy[4:], range(4)):
+            pool[dst] = _mix(pool[dst], hashmix(word))
+        words = list(map(_hasher(0x8B51F9DD, 0x58F38DED), pool * 2))
+        seed_hi, seed_lo, inc_hi, inc_lo = (words[k] | words[k + 1] << 32 for k in range(0, 8, 2))
+        self.inc = ((inc_hi << 64 | inc_lo) << 1 | 1) & _MASK128
+        self.state = (self.inc + (seed_hi << 64 | seed_lo)) & _MASK128  # srandom: a step from 0 gives inc
+        self._next()
+
+    def _next(self) -> int:
+        self.state = (self.state * 0x2360ED051FC65DA44385DF649FCCF645 + self.inc) & _MASK128
+        rot = self.state >> 122
+        x = (self.state >> 64 ^ self.state) & _MASK64
+        return (x >> rot | x << (64 - rot)) & _MASK64
+
+    def uniform(self, low: float = 0.0, high: float = 1.0) -> float:
+        span = float(high) - low
+        if not 0 <= span < math.inf:
+            raise ValueError(f"cannot draw uniformly from [{low}, {high})")
+        return low + span * ((self._next() >> 11) * 2**-53)
+
+
 def _uniform_point(rng, extent):
-    return (float(rng.uniform(0, extent)), float(rng.uniform(0, extent)))
+    return (rng.uniform(0, extent), rng.uniform(0, extent))
 
 
 def _disc_point(rng, center, radius):
@@ -216,6 +275,6 @@ def _annulus_point(rng, center, inner, outer):
 
 
 def _corridor_point(rng, extent, axis_y, corridor, side):
-    x = float(rng.uniform(0, extent))
-    offset = float(rng.uniform(0, corridor))
+    x = rng.uniform(0, extent)
+    offset = rng.uniform(0, corridor)
     return (x, axis_y + side * offset)

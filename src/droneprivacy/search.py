@@ -23,7 +23,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
-from itertools import compress
+from itertools import compress, product
 from typing import Callable, Iterable, Iterator
 
 from .errors import GuardError
@@ -141,12 +141,12 @@ class _RouteState:
 
     ``risk_sum`` (the sum of the per-order risks) and ``worst`` (the largest
     of them) are exact and reduced ``(numerator, denominator)`` pairs, so
-    equal values have equal pairs.  ``peak`` is the most real items aboard at
-    once.  ``avg_wait`` is set only on a walk given a drone to time it; it is
-    bit-identical to :func:`~droneprivacy.geometry.wait_times`' average.
+    equal values have equal pairs.  ``avg_wait`` is set only on a walk given a
+    drone to time it; it is bit-identical to
+    :func:`~droneprivacy.geometry.wait_times`' average.
     """
 
-    __slots__ = ("risk_sum", "worst", "peak", "avg_wait")
+    __slots__ = ("risk_sum", "worst", "avg_wait")
 
 
 def _sequences(
@@ -201,21 +201,20 @@ def _sequences(
     path: list[Stop] = []
     cut = None if prune is None else prune(legs, reals, custs, picked, dropped, pickup_n, pickup_d, waits)
 
-    def publish(sn, sd, wn, wd, peak):
+    def publish(sn, sd, wn, wd):
         if state is not None:
             state.risk_sum = (sn, sd)
             state.worst = (wn, wd)
-            state.peak = peak
             if drone is not None:
                 state.avg_wait = sum(waits) / n
 
     # remaining: orders not yet delivered; frozen: the current customer run's payload (0 in a
     # vendor run); sn / sd: risk sum; wn / wd: worst risk; t: clock; last: index of the last stop.
-    def walk(remaining, aboard, decoys_left, frozen, pn, pd, sn, sd, wn, wd, peak, t, last):
+    def walk(remaining, aboard, decoys_left, frozen, pn, pd, sn, sd, wn, wd, t, last):
         if cut is not None and cut(remaining, aboard, decoys_left, frozen, pn, pd, sn, sd, wn, wd, t, last):
             return
         if remaining == 0:
-            publish(sn, sd, wn, wd, peak)
+            publish(sn, sd, wn, wd)
             yield tuple(path)
         row = legs[last]
         vpn, vpd = pn, pd  # the survivor product after a vendor or decoy stop
@@ -223,15 +222,14 @@ def _sequences(
             # That stop closes the customer run; the orders still aboard survived it.
             vpn, vpd = pn * (aboard + decoy_budget - decoys_left), pd * frozen
         if aboard < capacity:
-            load = aboard + 1
             for k, pos in reals:
                 if not picked[pos]:
                     picked[pos] = True
                     pickup_n[pos] = vpn
                     pickup_d[pos] = vpd
                     path.append(stops[k])
-                    yield from walk(remaining, load, decoys_left, 0, vpn, vpd, sn, sd, wn, wd,
-                                    load if load > peak else peak, t + row[k], k)
+                    yield from walk(remaining, aboard + 1, decoys_left, 0, vpn, vpd, sn, sd, wn, wd,
+                                    t + row[k], k)
                     path.pop()
                     picked[pos] = False
         if decoys_left:
@@ -240,7 +238,7 @@ def _sequences(
                     decoy_used[k] = True
                     path.append(stops[k])
                     yield from walk(remaining, aboard, decoys_left - 1, 0, vpn, vpd, sn, sd, wn, wd,
-                                    peak, t + row[k], k)
+                                    t + row[k], k)
                     path.pop()
                     decoy_used[k] = False
         payload = frozen or aboard + decoy_budget - decoys_left
@@ -263,15 +261,15 @@ def _sequences(
                 path.append(stops[k])
                 if remaining == 1 and not decoys_left:
                     # The last delivery, and no decoy left to append: the route is complete.
-                    publish(nsn // g, nsd // g, nwn, nwd, peak)
+                    publish(nsn // g, nsd // g, nwn, nwd)
                     yield tuple(path)
                 else:
                     yield from walk(remaining - 1, aboard - 1, decoys_left, payload, pn, pd,
-                                    nsn // g, nsd // g, nwn, nwd, peak, waits[pos], k)
+                                    nsn // g, nsd // g, nwn, nwd, waits[pos], k)
                 path.pop()
                 dropped[pos] = False
 
-    yield from walk(n, 0, decoy_budget, 0, 1, 1, 0, 1, 0, 1, 0, 0.0, -1)
+    yield from walk(n, 0, decoy_budget, 0, 1, 1, 0, 1, 0, 1, 0.0, -1)
 
 
 def evaluate(
@@ -543,10 +541,10 @@ def min_avg_risk_sweep(
 ) -> dict[tuple[int, int, int], Fraction]:
     """Minimum average risk over all valid routes, per (n, capacity, decoy budget) cell.
 
-    Risk depends only on route structure, never on geometry, so cells are
-    computed on a placeholder scenario and wait evaluation is skipped
-    entirely.  One enumeration per (n, budget) pair covers every capacity by
-    tracking each route's peak payload.
+    Risk depends only on route structure and order labels are interchangeable,
+    so a cell is :func:`_risk_to_go`'s least risk sum from the start state
+    ``(n, (), 0, budget)``, over n; one memo per (capacity, budget) serves
+    every n.  Every cell's guard (that of the exhaustive walk) is checked first.
     """
     n_values = sorted(set(n_range))
     c_values = sorted(set(c_range))
@@ -555,26 +553,8 @@ def min_avg_risk_sweep(
         raise ValueError("all sweep ranges must be non-empty")
     if min(n_values) < 1 or min(c_values) < 1 or min(d_values) < 0:
         raise ValueError("sweep ranges out of bounds")
-    c_max = max(c_values)
-    cells = []  # every cell's guard passes before the first walk
-    for n in n_values:
-        for n_d in d_values:
-            cells.append((abstract_scenario(n, n_d), min(c_max, n), n_d))
-            _check_guards(*cells[-1])
-    table: dict[tuple[int, int, int], Fraction] = {}
-    for scenario, capacity, n_d in cells:
-        # Per peak payload, the least risk sum; the average is that sum over n.
-        best_by_peak: dict[int, tuple[int, int]] = {}
-        state = _RouteState()
-        for _ in _sequences(scenario, capacity, n_d, state=state):
-            nu, de = state.risk_sum
-            cur = best_by_peak.get(state.peak)
-            if cur is None or nu * cur[1] < cur[0] * de:
-                best_by_peak[state.peak] = state.risk_sum
-        for c in c_values:
-            best: tuple[int, int] | None = None
-            for peak, (nu, de) in best_by_peak.items():
-                if peak <= c and (best is None or nu * best[1] < best[0] * de):
-                    best = (nu, de)
-            table[(scenario.n, c, n_d)] = Fraction(best[0], best[1] * scenario.n)
-    return table
+    for n, n_d in product(n_values, d_values):
+        _check_guards(abstract_scenario(n, n_d), min(max(c_values), n), n_d)
+    memos = {(c, n_d): _risk_to_go(c, n_d) for c, n_d in product(c_values, d_values)}
+    return {(n, c, n_d): Fraction(*memos[c, n_d](n, (), 0, n_d)) / n
+            for n, n_d, c in product(n_values, d_values, c_values)}

@@ -1,6 +1,7 @@
 """Shared test helpers: a random valid-route walker, a route's run segments,
 an independent permutation-filter enumerator used as a counting oracle, and
-the exhaustive Pareto front that the pruned one is checked against.
+the exhaustive Pareto front and risk sweep that the pruned front and the
+memoized sweep are checked against.
 """
 
 from __future__ import annotations
@@ -8,9 +9,11 @@ from __future__ import annotations
 import itertools
 import random
 from fractions import Fraction
+from operator import attrgetter
 
 from droneprivacy import (
-    DroneSpec, ParetoAccumulator, ParetoFront, ParetoPoint, Route, Scenario, Stop, evaluate,
+    DroneSpec, ParetoAccumulator, ParetoFront, ParetoPoint, Route, Scenario, Stop, abstract_scenario,
+    evaluate,
 )
 from droneprivacy.search import _RouteState, _sequences
 
@@ -49,6 +52,15 @@ def random_valid_route(
             dropped.add(scenario.order_index[stop.sid])
             aboard -= 1
     return Route(tuple(path))
+
+
+_LOAD_CHANGE = {"v": 1, "d": 0, "a": -1}
+
+
+def max_load(stops) -> int:
+    """The most real items aboard at once."""
+    changes = map(_LOAD_CHANGE.__getitem__, map(attrgetter("kind"), stops))
+    return max(itertools.accumulate(changes))
 
 
 def run_segments(route: Route) -> list[tuple[int, int]]:
@@ -107,3 +119,22 @@ def exhaustive_front(
         for seq, ties in zip(front.seqs, front.counts)
     )
     return ParetoFront(objectives=objectives, points=points, total_routes=total, routes_walked=total)
+
+
+def exhaustive_sweep(n_range, c_range, decoy_range) -> dict[tuple[int, int, int], Fraction]:
+    """Each (n, capacity, budget) cell's least average risk by walking every route of the largest
+    capacity once and keeping the least risk sum per peak load (the memoized sweep's oracle)."""
+    table = {}
+    for n in n_range:
+        for n_d in decoy_range:
+            best_by_peak: dict[int, tuple[int, int]] = {}  # the least risk sum, a reduced pair
+            state = _RouteState()
+            for seq in _sequences(abstract_scenario(n, n_d), min(max(c_range), n), n_d, state=state):
+                peak, (nu, de) = max_load(seq), state.risk_sum
+                best = best_by_peak.get(peak)
+                if best is None or nu * best[1] < best[0] * de:
+                    best_by_peak[peak] = (nu, de)
+            for c in c_range:
+                least = min(Fraction(*pair) for peak, pair in best_by_peak.items() if peak <= c)
+                table[(n, c, n_d)] = least / n
+    return table

@@ -92,6 +92,32 @@ def test_cli_gen_is_byte_deterministic(tmp_path):
     assert loaded.scenario.n_decoys == 1
 
 
+def test_cli_gen_refuses_a_negative_seed_or_an_unbounded_map(tmp_path, capsys):
+    path = str(tmp_path / "s.json")
+    assert main(["gen", "--topology", "uniform", "--n", "3", "--seed=-1", "--out", path]) == 3
+    assert "expected non-negative integer" in capsys.readouterr().err
+    assert main(["gen", "--topology", "uniform", "--n", "3", "--extent", "inf", "--out", path]) == 3
+    assert main(["gen", "--topology", "hub_spoke", "--n", "3", "--ring-outer", "inf", "--out", path]) == 3
+
+
+def test_cli_import_leaves_numpy_out():
+    """The package draws its maps without numpy, so starting the CLI does not load it."""
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import droneprivacy
+
+    src = str(Path(droneprivacy.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, droneprivacy.cli; print('numpy' in sys.modules)"],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src}, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
+
+
 def test_cli_eval_prints_exact_average(tmp_path, capsys):
     path = tmp_path / "s.json"
     main(["gen", "--topology", "uniform", "--n", "3", "--seed", "2", "--out", str(path)])

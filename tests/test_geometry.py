@@ -17,6 +17,7 @@ from droneprivacy import (
     unit_square_fixture,
     wait_times,
 )
+from droneprivacy import geometry
 from droneprivacy.fixtures import UNIT_SQUARE_TABLE, WAIT_TOLERANCE
 from droneprivacy.geometry import leg_times
 
@@ -184,6 +185,47 @@ def test_generate_rejects_bad_arguments():
         generate("nowhere", 3)
     with pytest.raises(ValueError):
         generate("uniform", 3, corridor_width=5.0)  # parameter from another topology
+
+
+def test_uniform_stream_is_bit_equal_to_numpy():
+    """The generator's own PCG64 against ``numpy.random.default_rng``: seeds of one to five 32-bit
+    words, defaults and the ranges generate draws from."""
+    np = pytest.importorskip("numpy")
+    ranges = [(), (0, 5000.0), (0, 2 * math.pi), (9e6, 2.025e7), (0, 120)]
+    seeds = [*range(300), *(2**32 + k for k in range(30)), *(2**64 + k for k in range(30)), 2**128 + 7]
+    for seed in seeds:
+        ours, theirs = geometry._PCG64(seed), np.random.default_rng(seed)
+        for args in ranges * 4:
+            assert ours.uniform(*args).hex() == float(theirs.uniform(*args)).hex(), (seed, args)
+
+
+@pytest.mark.parametrize("topology, params", [
+    ("uniform", {"extent_m": 2000.0}),
+    ("two_clusters", {"separation": 1500.0, "cluster_radius": 300.0}),
+    ("hub_spoke", {"hub_radius": 400.0, "ring_inner": 1200.0, "ring_outer": 2400.0}),
+    ("linear", {"corridor_width": 75.0}),
+])
+def test_generated_maps_equal_numpys(monkeypatch, topology, params):
+    np = pytest.importorskip("numpy")
+    for seed in (0, 1, 17, 2**32 + 3, 2**64 + 5):
+        for n, n_decoys in ((1, 0), (4, 2), (7, 3)):
+            ours = generate(topology, n, n_decoys, seed, **params)
+            with monkeypatch.context() as patch:
+                patch.setattr(geometry, "_PCG64", np.random.default_rng)
+                assert generate(topology, n, n_decoys, seed, **params) == ours, (seed, n)
+
+
+def test_generate_refuses_bad_seeds_and_unbounded_ranges():
+    with pytest.raises(ValueError, match="expected non-negative integer"):
+        generate("uniform", 3, seed=-1)
+    with pytest.raises(TypeError):
+        generate("uniform", 3, seed=1.5)
+    with pytest.raises(TypeError):
+        generate("uniform", 3, seed="7")
+    with pytest.raises(ValueError, match="cannot draw uniformly"):
+        generate("uniform", 3, extent_m=math.inf)
+    with pytest.raises(ValueError, match="cannot draw uniformly"):
+        generate("hub_spoke", 3, ring_outer=math.inf)
 
 
 def test_motion_model_bounds():

@@ -28,7 +28,7 @@ from droneprivacy import (
 )
 from droneprivacy import search
 from droneprivacy.search import _RouteState, _route_counter, _sequences
-from conftest import brute_force_routes, exhaustive_front
+from conftest import brute_force_routes, exhaustive_front, exhaustive_sweep, max_load
 
 TOPOLOGIES = ("uniform", "two_clusters", "hub_spoke", "linear")
 
@@ -326,19 +326,11 @@ def test_front_guard_refuses_600_orders_without_counting_them():
         pareto_front(abstract_scenario(600), DroneSpec(capacity=600))
 
 
-def _max_load(stops):
-    load = peak = 0
-    for stop in stops:
-        load += {"v": 1, "d": 0, "a": -1}[stop.kind]
-        peak = max(peak, load)
-    return peak
-
-
 def _walk(scenario, capacity, budget, motion):
     """Every route the walker yields, with the state it carries for it."""
     state = _RouteState()
     for seq in _sequences(scenario, capacity, budget, motion, state):
-        yield seq, (state.risk_sum, state.worst, state.peak, state.avg_wait)
+        yield seq, (state.risk_sum, state.worst, state.avg_wait)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
@@ -346,13 +338,13 @@ def test_walker_state_and_sweep_match_the_per_route_path(n):
     """At every route, the state the walker carries equals a rescan by the public per-route functions.
 
     Risks must equal privacy_risks' Fractions, waits must be bit-equal to wait_times' average (which
-    is evaluate's avg_wait), and the peak must be the route's largest load.  The full walk (capacity
-    n, budget 2) is checked route by route on the tie-heavy grid and on a generated map.  On the
-    generated map, every smaller capacity and budget must then yield the states of exactly the full
-    walk's routes that fit it, in the same order (which routes those are is checked by the
-    enumeration tests above).  The same per-route risks give the brute-force minima that every
-    min_avg_risk_sweep cell (n, c <= 4, d <= 2) must equal: the routes of abstract_scenario(n, d)
-    are the grid's routes whose decoy ids are all at most d.
+    is evaluate's avg_wait).  The full walk (capacity n, budget 2) is checked route by route on the
+    tie-heavy grid and on a generated map.  On the generated map, every smaller capacity and budget
+    must then yield the states of exactly the full walk's routes that fit it (by their peak load),
+    in the same order (which routes those are is checked by the enumeration tests above).  The same
+    per-route risks give the brute-force minima that every min_avg_risk_sweep cell (n, c <= 4,
+    d <= 2) must equal: the routes of abstract_scenario(n, d) are the grid's routes whose decoy ids
+    are all at most d.
     """
     motion = MotionModel()
     grid, spread = abstract_scenario(n, n_decoys=2), generate("uniform", n, n_decoys=2, seed=n)
@@ -364,15 +356,15 @@ def test_walker_state_and_sweep_match_the_per_route_path(n):
         assert seq == other
         route = Route(seq)
         report = privacy_risks(route, grid, check=False)
-        (sum_nu, sum_de), (worst_nu, worst_de), peak, wait = on_grid
+        (sum_nu, sum_de), (worst_nu, worst_de), wait = on_grid
         assert F(sum_nu, sum_de * n) == report.average
         assert F(worst_nu, worst_de) == report.worst_case
-        assert peak == _max_load(seq)
         assert wait.hex() == wait_times(route, grid, motion, check=False).average.hex()
-        assert on_spread[:3] == on_grid[:3]
-        assert on_spread[3].hex() == wait_times(route, spread, motion, check=False).average.hex()
+        assert on_spread[:2] == on_grid[:2]
+        assert on_spread[2].hex() == wait_times(route, spread, motion, check=False).average.hex()
         fingerprints.append(hash(on_spread))
         decoy_ids = [stop.sid for stop in seq if stop.kind == "d"]
+        peak = max_load(seq)
         fits.append((peak, len(decoy_ids)))
         key = (peak, max(decoy_ids, default=0))
         least[key] = min(report.average, least.get(key, report.average))
@@ -399,11 +391,10 @@ def test_walker_state_matches_the_per_route_path_on_every_n5_route():
     count = 0
     for seq, state in _walk(scenario, 3, 0, MotionModel()):
         e = evaluate(Route(seq), scenario, drone, check=False)
-        (sum_nu, sum_de), (worst_nu, worst_de), peak, wait = state
+        (sum_nu, sum_de), (worst_nu, worst_de), wait = state
         assert F(sum_nu, sum_de * 5) == e.avg_risk
         assert F(worst_nu, worst_de) == e.worst_risk
         assert wait.hex() == e.avg_wait.hex()
-        assert peak == _max_load(seq)
         count += 1
     assert count == 52920
 
@@ -464,13 +455,22 @@ def test_sweep_matches_direct_enumeration():
 
 
 def test_sweep_checks_every_guard_before_its_first_walk(monkeypatch):
-    """n = 7 at capacity 7 is allowed (681,080,400 routes, about half an hour); n = 8 is refused first."""
-    def no_walk(*args, **kwargs):
-        raise AssertionError("the sweep walked before it refused")
+    """n = 7 at capacity 7 passes the guard (681,080,400 routes for the exhaustive walk); n = 8 is
+    refused before any cell's memo is built."""
+    def no_memo(*args, **kwargs):
+        raise AssertionError("the sweep built a memo before it refused")
 
-    monkeypatch.setattr(search, "_sequences", no_walk)
+    monkeypatch.setattr(search, "_risk_to_go", no_memo)
     with pytest.raises(GuardError, match="n=8"):
         min_avg_risk_sweep(range(7, 9), [8], [0])
+
+
+@pytest.mark.parametrize("n_max, d_max", [(5, 0), (4, 3)])
+def test_sweep_equals_the_exhaustive_walk(n_max, d_max):
+    """The memoized sweep against the walk over every route, for capacities 1..n+1."""
+    for n in range(1, n_max + 1):
+        ranges = ([n], range(1, n + 2), range(d_max + 1))
+        assert min_avg_risk_sweep(*ranges) == exhaustive_sweep(*ranges), n
 
 
 def test_sweep_rejects_empty_or_bad_ranges():

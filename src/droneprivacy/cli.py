@@ -16,12 +16,7 @@ import sys
 from . import fixtures as fixture_checks
 from .errors import GuardError
 from .geometry import generate
-from .heuristics import (
-    HeuristicParams,
-    instantiate_template,
-    ordering_search_is_exact,
-    template_for,
-)
+from .heuristics import HeuristicParams, instantiate_template, template_for
 from .io import (
     ScenarioFile,
     format_fraction,
@@ -195,10 +190,9 @@ def cmd_heuristic(args) -> int:
     drone = _drone_for(args, sf)
     route = instantiate_template(template, sf.scenario, drone)
     evaluation = evaluate(route, sf.scenario, drone, tag=params.label)
-    exact = ordering_search_is_exact(template)
     print(f"heuristic: {params.label} (required capacity {params.required_capacity})")
     print(f"route: {route.tokens}")
-    print(f"ordering: {'exact minimum travel' if exact else 'nearest-neighbor (approximate)'}")
+    print("ordering: exact minimum travel")
     _print_risks_and_waits(evaluation)
     return EXIT_OK
 

@@ -15,6 +15,8 @@ way (``n`` is the order count):
 ``closed_form_risks`` evaluates the known per-order risk formulas; templates
 are bound to concrete scenarios by :func:`instantiate_template`, which only
 permutes stops inside groups and therefore never changes the risk profile.
+It picks the shortest such flattening exactly, by a Held–Karp dynamic
+program over each group's stops.
 """
 
 from __future__ import annotations
@@ -27,13 +29,13 @@ from typing import Literal
 
 from .errors import GuardError
 from .geometry import travel_length
-from .model import DroneSpec, Route, RouteTemplate, Scenario, Stop
+from .model import DroneSpec, Route, RouteTemplate, Scenario, Stop, require_valid
 from .risk import RiskReport
 
 HeuristicKind = Literal["split", "reversal", "stuffing"]
 
 EXHAUSTIVE_ORDERING_LIMIT = 10**6
-"""Joint within-group orderings up to this count are searched exhaustively."""
+"""A relabeling search is refused when ``n!`` times the joint within-group ordering count exceeds this."""
 
 
 @dataclass(frozen=True)
@@ -186,26 +188,16 @@ def stuffing_risk_series(n: int, c: int) -> Fraction:
     return 2 * sum(b**j for j in range(d + 1)) + (n - 2 * (d + 1)) * b**d
 
 
-def required_template_capacity(template: RouteTemplate) -> int:
-    """Peak count of real undelivered items over the template's groups."""
-    aboard = 0
-    peak = 0
-    for group in template.groups:
-        if group[0].is_vendor:
-            aboard += sum(1 for s in group if s.kind == "v")
-            peak = max(peak, aboard)
-        else:
-            aboard -= len(group)
-    return peak
-
-
 def _joint_orderings(template: RouteTemplate) -> int:
     return math.prod(math.factorial(size) for size in template.group_sizes)
 
 
 def ordering_search_is_exact(template: RouteTemplate) -> bool:
-    """Whether instantiation will search all joint within-group orderings."""
-    return _joint_orderings(template) <= EXHAUSTIVE_ORDERING_LIMIT
+    """Whether instantiation finds the minimum-travel flattening: always, by the group-wise DP.
+
+    Kept for callers that record exactness; there is no approximate ordering.
+    """
+    return True
 
 
 def instantiate_template(
@@ -218,36 +210,37 @@ def instantiate_template(
     """Bind a template to a scenario and pick travel-minimizing group orderings.
 
     Template indices are abstract: ``v3``/``a3`` mean the vendor/customer of
-    the scenario's third order (and ``d2`` its second decoy).  When the joint
-    ordering count is at most ``EXHAUSTIVE_ORDERING_LIMIT`` the returned
-    flattening has exactly minimal total travel; otherwise a nearest-neighbor
-    pass is used (check :func:`ordering_search_is_exact`).  Ties always go to the
-    lexicographically smallest stop sequence, so results are reproducible.
+    the scenario's third order (and ``d2`` its second decoy).  A template whose
+    flattening is not a valid route for the drone (a customer before its
+    vendor, a repeated or missing stop, more items aboard than the capacity)
+    raises ``ValueError``.  The within-group orderings are chosen by a
+    Held–Karp dynamic program (Held & Karp 1962) run group by group in template
+    order, so the returned flattening has exactly minimal total travel at any
+    ``n``.  Each DP state keeps its least (length, stop sequence) prefix, so
+    ties go to the lexicographically smallest stop sequence and results are
+    reproducible.
 
     With ``relabel=True`` the abstract-to-scenario order assignment itself is
     also searched (all ``n!`` relabelings).  That search raises
-    :class:`GuardError` when ``n!`` times the work per assignment (the joint
-    ordering count if the search is exact, else stops squared for the
-    nearest-neighbor pass) exceeds ``EXHAUSTIVE_ORDERING_LIMIT``.
+    :class:`GuardError` when ``n!`` times the joint within-group ordering
+    count exceeds ``EXHAUSTIVE_ORDERING_LIMIT``.
     """
-    if required_template_capacity(template) > drone.capacity:
-        raise ValueError(
-            f"template needs capacity {required_template_capacity(template)}, "
-            f"drone has {drone.capacity}"
-        )
     n = scenario.n
     for group in template.groups:
         for stop in group:
             bound = n if stop.kind != "d" else scenario.n_decoys
             if not 1 <= stop.sid <= bound:
                 raise ValueError(f"template stop {stop.token} has no counterpart in the scenario")
+    # Validity depends neither on the order inside a group nor on the relabeling, so one flattening
+    # checks them all.
+    identity = tuple(range(n))
+    require_valid(Route(tuple(_bind_stop(s, scenario, identity) for s in template.flatten().stops)),
+                  scenario, drone)
 
     if not relabel:
-        return _instantiate_with_mapping(template, scenario, tuple(range(n)))
+        return _instantiate_with_mapping(template, scenario, identity)
 
-    stops = sum(template.group_sizes)
-    per_mapping = _joint_orderings(template) if ordering_search_is_exact(template) else stops**2
-    work = math.factorial(n) * per_mapping
+    work = math.factorial(n) * _joint_orderings(template)
     if work > EXHAUSTIVE_ORDERING_LIMIT:
         raise GuardError(f"relabeling search over {n}! order assignments refused: about {work:,} "
                          f"flattenings (limit {EXHAUSTIVE_ORDERING_LIMIT:,})")
@@ -271,30 +264,28 @@ def _instantiate_with_mapping(
     scenario: Scenario,
     mapping: tuple[int, ...],
 ) -> Route:
-    groups = [
-        sorted((_bind_stop(s, scenario, mapping) for s in group), key=lambda s: s.sort_key)
-        for group in template.groups
-    ]
-    if ordering_search_is_exact(template):
-        flats = (
-            tuple(s for group in orderings for s in group)
-            for orderings in itertools.product(*(itertools.permutations(g) for g in groups))
-        )
-        # Shortest travel first; ties go to the lexicographically smallest stop sequence.
-        return Route(min(flats, key=lambda f: (travel_length(f, scenario), tuple(s.sort_key for s in f))))
-
-    # Too many joint orderings: greedy nearest-neighbor inside each group,
-    # measured from the previously placed stop (first group starts at its
-    # smallest stop).  Approximate but deterministic.
-    placed: list[Stop] = []
+    groups = [[_bind_stop(s, scenario, mapping) for s in group] for group in template.groups]
+    stop_of = {s.sort_key: s for group in groups for s in group}
+    xy = {key: scenario.coords[s.kind, s.sid] for key, s in stop_of.items()}
+    # A prefix is (length so far, stop sort keys).  Legs are added in route order from 0.0, as
+    # travel_length adds them, so each length is the float the full search would compute.
+    ends = {None: (0.0, ())}  # the previous group's full states: last stop -> least prefix
     for group in groups:
-        remaining = list(group)
-        while remaining:
-            if not placed:
-                choice = min(remaining, key=lambda s: s.sort_key)
-            else:
-                last = placed[-1]
-                choice = min(remaining, key=lambda s: (travel_length((last, s), scenario), s.sort_key))
-            placed.append(choice)
-            remaining.remove(choice)
-    return Route(tuple(placed))
+        keys = [s.sort_key for s in group]
+        full = (1 << len(keys)) - 1
+        states = {0: ends}  # placed-stop mask -> last stop -> least prefix
+        for mask in range(full):  # each mask is complete before it is extended
+            for length, seq in states.pop(mask).values():
+                for bit, key in enumerate(keys):
+                    if mask >> bit & 1:
+                        continue
+                    if seq:
+                        (px, py), (x, y) = xy[seq[-1]], xy[key]
+                        step = (length + math.hypot(x - px, y - py), seq + (key,))
+                    else:
+                        step = (0.0, (key,))
+                    slot = states.setdefault(mask | 1 << bit, {})
+                    if key not in slot or step < slot[key]:
+                        slot[key] = step
+        ends = states[full]
+    return Route(tuple(map(stop_of.__getitem__, min(ends.values())[1])))

@@ -1,7 +1,7 @@
 """Shared test helpers: a random valid-route walker, a route's run segments,
 an independent permutation-filter enumerator used as a counting oracle, and
-the exhaustive Pareto front and risk sweep that the pruned front and the
-memoized sweep are checked against.
+the exhaustive Pareto front, risk sweep and template instantiation that the
+pruned front, the memoized sweep and the group-wise DP are checked against.
 """
 
 from __future__ import annotations
@@ -12,9 +12,11 @@ from fractions import Fraction
 from operator import attrgetter
 
 from droneprivacy import (
-    DroneSpec, ParetoAccumulator, ParetoFront, ParetoPoint, Route, Scenario, Stop, abstract_scenario,
-    evaluate,
+    DroneSpec, ParetoAccumulator, ParetoFront, ParetoPoint, Route, RouteTemplate, Scenario, Stop,
+    abstract_scenario, evaluate,
 )
+from droneprivacy.geometry import travel_length
+from droneprivacy.heuristics import _bind_stop
 from droneprivacy.search import _RouteState, _sequences
 
 
@@ -138,3 +140,14 @@ def exhaustive_sweep(n_range, c_range, decoy_range) -> dict[tuple[int, int, int]
                 least = min(Fraction(*pair) for peak, pair in best_by_peak.items() if peak <= c)
                 table[(n, c, n_d)] = least / n
     return table
+
+
+def exhaustive_instantiation(template: RouteTemplate, scenario: Scenario, mapping: tuple[int, ...]) -> Route:
+    """The shortest flattening of a template bound by ``mapping``, by trying every joint within-group
+    ordering; ties go to the smallest stop sequence (the group-wise DP's oracle)."""
+    groups = [[_bind_stop(s, scenario, mapping) for s in group] for group in template.groups]
+    flats = (
+        tuple(s for group in orderings for s in group)
+        for orderings in itertools.product(*(itertools.permutations(g) for g in groups))
+    )
+    return Route(min(flats, key=lambda f: (travel_length(f, scenario), tuple(s.sort_key for s in f))))

@@ -1,5 +1,6 @@
 """Heuristic templates, closed-form risks, and template instantiation."""
 
+import itertools
 import math
 from fractions import Fraction as F
 
@@ -14,8 +15,11 @@ from droneprivacy import (
     UNIT_FIXTURE_MOTION,
     abstract_scenario,
     closed_form_risks,
+    generate,
     instantiate_template,
+    min_avg_risk_sweep,
     ordering_search_is_exact,
+    parse_route,
     privacy_risks,
     reversal_template,
     split_template,
@@ -26,6 +30,12 @@ from droneprivacy import (
     validate_route,
     wait_times,
 )
+from droneprivacy.geometry import travel_length
+from droneprivacy.heuristics import _joint_orderings
+
+from conftest import exhaustive_instantiation
+
+TOPOLOGIES = ("uniform", "two_clusters", "linear", "hub_spoke")
 
 
 def tokens_of(template):
@@ -153,6 +163,15 @@ def test_stuffing_series_is_the_scaled_mean():
     assert exceeded  # the unnormalized series is not itself a probability
 
 
+def test_stuffing_attains_the_minimum_average_risk_without_decoys():
+    """At d = 0 the stuffing closed form is the exact least average risk over every valid route."""
+    sweep = min_avg_risk_sweep(range(1, 8), range(1, 8), [0])
+    cells = [(n, c) for n in range(1, 8) for c in range(1, n + 1)]
+    assert len(cells) == 28
+    for n, c in cells:
+        assert stuffing_risk_series(n, c) / (n * c) == sweep[(n, c, 0)], (n, c)
+
+
 def test_instantiation_prefers_shortest_flattening_with_lexicographic_ties():
     fixture = unit_square_fixture("diagonal")
     aggregated = RouteTemplate(((Stop("v", 1), Stop("v", 2)), (Stop("a", 1), Stop("a", 2))))
@@ -180,6 +199,17 @@ def test_instantiation_rejects_small_drone():
         instantiate_template(split_template(4, 3, 1), scenario, DroneSpec(capacity=2))
 
 
+@pytest.mark.parametrize("tokens", [
+    "v1|a2|v2|a1",  # a customer before its vendor
+    "v1,v1|a1,a2",  # a repeated vendor
+    "v1|a1",  # a missing order
+])
+def test_instantiation_refuses_templates_that_flatten_to_invalid_routes(tokens):
+    template = RouteTemplate(tuple(parse_route(group).stops for group in tokens.split("|")))
+    with pytest.raises(ValueError, match="invalid route"):
+        instantiate_template(template, abstract_scenario(2), DroneSpec(capacity=2))
+
+
 def test_instantiation_rejects_unknown_template_indices():
     scenario = abstract_scenario(2)
     with pytest.raises(ValueError):
@@ -200,15 +230,78 @@ def test_instantiation_never_changes_the_risk_profile():
         assert privacy_risks(route, scenario).risks == closed_form_risks(params).risks
 
 
-def test_oversized_templates_use_greedy_ordering():
+def _grid(n):
+    """Every split, reversal and stuffing template of n orders."""
+    grid = [HeuristicParams("split", n, k=k, l=n - k) for k in range(1, n)]
+    grid += [HeuristicParams("reversal", n, k=k) for k in range(0, n // 2 + 1)]
+    grid += [HeuristicParams("stuffing", n, c=c) for c in range(1, n + 1)]
+    return [template_for(params) for params in grid]
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_group_dp_matches_the_exhaustive_ordering_search(n):
+    """The DP returns the full search's route, ties included, on every grid template it can afford."""
+    maps = [generate(topology, n, 2, seed=seed) for topology in TOPOLOGIES for seed in range(2)]
+    maps.append(abstract_scenario(n, 2))
+    templates = [t for t in _grid(n) if _joint_orderings(t) <= 20_000]
+    assert templates
+    drone = DroneSpec(capacity=n)
+    identity = tuple(range(n))
+    for template, scenario in itertools.product(templates, maps):
+        expected = exhaustive_instantiation(template, scenario, identity)
+        assert instantiate_template(template, scenario, drone) == expected, (template, scenario)
+
+
+def test_group_dp_matches_the_exhaustive_search_with_decoy_groups():
+    template = RouteTemplate((
+        (Stop("v", 1), Stop("d", 1), Stop("v", 2)), (Stop("a", 2),),
+        (Stop("d", 2), Stop("v", 3)), (Stop("a", 1), Stop("a", 3)),
+    ))
+    drone = DroneSpec(capacity=2)
+    for scenario in [generate(topology, 3, 2, seed=seed) for topology in TOPOLOGIES for seed in range(2)]:
+        route = instantiate_template(template, scenario, drone)
+        assert route == exhaustive_instantiation(template, scenario, (0, 1, 2))
+        assert {s.token for s in route.stops if s.kind == "d"} == {"d1", "d2"}
+
+
+def test_relabeled_dp_matches_the_exhaustive_search():
+    scenario = generate("two_clusters", 4, seed=5)
+    template = stuffing_template(4, 2)
+    expected = min(
+        (exhaustive_instantiation(template, scenario, mapping) for mapping in itertools.permutations(range(4))),
+        key=lambda route: (travel_length(route.stops, scenario), route.sort_key),
+    )
+    assert instantiate_template(template, scenario, DroneSpec(capacity=2), relabel=True) == expected
+
+
+def _nearest_neighbour(template, scenario):
+    """Each group in turn, nearest stop to the last one placed first (the first group starts at its smallest
+    stop); template ids are the stop ids on generated maps."""
+    placed = []
+    for group in template.groups:
+        remaining = list(group)
+        while remaining:
+            if placed:
+                choice = min(remaining, key=lambda s: (travel_length((placed[-1], s), scenario), s.sort_key))
+            else:
+                choice = min(remaining, key=lambda s: s.sort_key)
+            placed.append(choice)
+            remaining.remove(choice)
+    return placed
+
+
+def test_oversized_templates_are_instantiated_exactly():
+    """Aggregation at n = 7 has 7!^2 joint orderings; the DP still finds a flattening that is strictly
+    shorter than a greedy nearest-neighbour pass."""
+    scenario = generate("uniform", 7, seed=3)
+    template = reversal_template(7, 0)
+    assert ordering_search_is_exact(template)
+    route = instantiate_template(template, scenario, DroneSpec(capacity=7))
+    assert travel_length(route.stops, scenario) < travel_length(_nearest_neighbour(template, scenario), scenario)
+
     n = 11
     scenario = abstract_scenario(n)
-    template = RouteTemplate((
-        tuple(Stop("v", i + 1) for i in range(n)),
-        tuple(Stop("a", i + 1) for i in range(n)),
-    ))
-    assert not ordering_search_is_exact(template)
-    route = instantiate_template(template, scenario, DroneSpec(capacity=n))
+    route = instantiate_template(reversal_template(n, 0), scenario, DroneSpec(capacity=n))
     assert validate_route(route, scenario, DroneSpec(capacity=n)).ok
     assert privacy_risks(route, scenario).risks == (F(1, n),) * n
 

@@ -37,6 +37,9 @@ HeuristicKind = Literal["split", "reversal", "stuffing"]
 EXHAUSTIVE_ORDERING_LIMIT = 10**6
 """A relabeling search is refused when ``n!`` times the joint within-group ordering count exceeds this."""
 
+MAX_TEMPLATE_DP_STEPS = 10**7
+"""Instantiation is refused when the group-wise DP would take more steps than this (sum of 2^g * g^2)."""
+
 
 @dataclass(frozen=True)
 class HeuristicParams:
@@ -193,10 +196,7 @@ def _joint_orderings(template: RouteTemplate) -> int:
 
 
 def ordering_search_is_exact(template: RouteTemplate) -> bool:
-    """Whether instantiation finds the minimum-travel flattening: always, by the group-wise DP.
-
-    Kept for callers that record exactness; there is no approximate ordering.
-    """
+    """Always ``True``: the group-wise DP is exact (kept for callers that record exactness)."""
     return True
 
 
@@ -215,10 +215,15 @@ def instantiate_template(
     vendor, a repeated or missing stop, more items aboard than the capacity)
     raises ``ValueError``.  The within-group orderings are chosen by a
     Held–Karp dynamic program (Held & Karp 1962) run group by group in template
-    order, so the returned flattening has exactly minimal total travel at any
-    ``n``.  Each DP state keeps its least (length, stop sequence) prefix, so
-    ties go to the lexicographically smallest stop sequence and results are
-    reproducible.
+    order, so the returned flattening has exactly minimal total travel.  Each
+    DP state keeps its least (length so far, stop sequence) prefix, so results
+    are reproducible and prefixes of equal length go to the smaller stop
+    sequence; when two prefixes of different lengths reach equal totals only
+    after rounding, the route returned is still a shortest one but may not be
+    the lexicographically smallest.  The DP takes up to ``2^g * g^2`` steps
+    per group of ``g`` stops, and a template past ``MAX_TEMPLATE_DP_STEPS`` in
+    total (aggregation beyond 14 orders) raises :class:`GuardError` before
+    the search.
 
     With ``relabel=True`` the abstract-to-scenario order assignment itself is
     also searched (all ``n!`` relabelings).  That search raises
@@ -236,6 +241,11 @@ def instantiate_template(
     identity = tuple(range(n))
     require_valid(Route(tuple(_bind_stop(s, scenario, identity) for s in template.flatten().stops)),
                   scenario, drone)
+    steps = sum(g * g << g for g in template.group_sizes)  # 2^g * g states per group, each extended <= g ways
+    if steps > MAX_TEMPLATE_DP_STEPS:
+        size = f"{steps:,}" if steps.bit_length() <= 64 else f"more than 2^{max(template.group_sizes)}"
+        raise GuardError(f"template instantiation refused: {size} dynamic-program steps "
+                         f"(limit {MAX_TEMPLATE_DP_STEPS:,})")
 
     if not relabel:
         return _instantiate_with_mapping(template, scenario, identity)

@@ -18,7 +18,6 @@ from droneprivacy import (
     generate,
     instantiate_template,
     min_avg_risk_sweep,
-    ordering_search_is_exact,
     parse_route,
     privacy_risks,
     reversal_template,
@@ -295,7 +294,6 @@ def test_oversized_templates_are_instantiated_exactly():
     shorter than a greedy nearest-neighbour pass."""
     scenario = generate("uniform", 7, seed=3)
     template = reversal_template(7, 0)
-    assert ordering_search_is_exact(template)
     route = instantiate_template(template, scenario, DroneSpec(capacity=7))
     assert travel_length(route.stops, scenario) < travel_length(_nearest_neighbour(template, scenario), scenario)
 
@@ -304,6 +302,22 @@ def test_oversized_templates_are_instantiated_exactly():
     route = instantiate_template(reversal_template(n, 0), scenario, DroneSpec(capacity=n))
     assert validate_route(route, scenario, DroneSpec(capacity=n)).ok
     assert privacy_risks(route, scenario).risks == (F(1, n),) * n
+
+
+def test_oversized_templates_are_refused_before_the_search():
+    """Aggregation at n = 25 would take 2 * 2^25 * 25^2 DP steps: a GuardError with that count, at once."""
+    import time
+
+    scenario = generate("uniform", 25, seed=0)
+    start = time.perf_counter()
+    with pytest.raises(GuardError, match="41,943,040,000 dynamic-program steps"):
+        instantiate_template(reversal_template(25, 0), scenario, DroneSpec(capacity=25))
+    with pytest.raises(GuardError, match=r"more than 2\^200 dynamic-program steps"):
+        instantiate_template(reversal_template(200, 0), abstract_scenario(200), DroneSpec(capacity=200))
+    # n = 15 is the first aggregation past the limit (n = 14 takes 6,422,528 steps, about 2 s).
+    with pytest.raises(GuardError, match="14,745,600 dynamic-program steps"):
+        instantiate_template(reversal_template(15, 0), abstract_scenario(15), DroneSpec(capacity=15))
+    assert time.perf_counter() - start < 1.0
 
 
 def _travel(route, scenario):

@@ -34,11 +34,9 @@ from .risk import RiskReport
 
 HeuristicKind = Literal["split", "reversal", "stuffing"]
 
-EXHAUSTIVE_ORDERING_LIMIT = 10**6
-"""A relabeling search is refused when ``n!`` times the joint within-group ordering count exceeds this."""
-
 MAX_TEMPLATE_DP_STEPS = 10**7
-"""Instantiation is refused when the group-wise DP would take more steps than this (sum of 2^g * g^2)."""
+"""Instantiation is refused when the group-wise DP would take more steps than this (sum of 2^g * g^2,
+times ``n!`` for a relabeling search, which runs one DP per order assignment)."""
 
 
 @dataclass(frozen=True)
@@ -191,10 +189,6 @@ def stuffing_risk_series(n: int, c: int) -> Fraction:
     return 2 * sum(b**j for j in range(d + 1)) + (n - 2 * (d + 1)) * b**d
 
 
-def _joint_orderings(template: RouteTemplate) -> int:
-    return math.prod(math.factorial(size) for size in template.group_sizes)
-
-
 def ordering_search_is_exact(template: RouteTemplate) -> bool:
     """Always ``True``: the group-wise DP is exact (kept for callers that record exactness)."""
     return True
@@ -226,9 +220,9 @@ def instantiate_template(
     the search.
 
     With ``relabel=True`` the abstract-to-scenario order assignment itself is
-    also searched (all ``n!`` relabelings).  That search raises
-    :class:`GuardError` when ``n!`` times the joint within-group ordering
-    count exceeds ``EXHAUSTIVE_ORDERING_LIMIT``.
+    also searched (all ``n!`` relabelings, one DP each).  That search raises
+    :class:`GuardError` when ``n!`` times the DP's steps exceeds
+    ``MAX_TEMPLATE_DP_STEPS``.
     """
     n = scenario.n
     for group in template.groups:
@@ -239,8 +233,9 @@ def instantiate_template(
     # Validity depends neither on the order inside a group nor on the relabeling, so one flattening
     # checks them all.
     identity = tuple(range(n))
-    require_valid(Route(tuple(_bind_stop(s, scenario, identity) for s in template.flatten().stops)),
-                  scenario, drone)
+    decoy_ids = sorted(d.id for d in scenario.decoy_vendors)
+    flat = template.flatten().stops
+    require_valid(Route(tuple(_bind_stop(s, scenario, identity, decoy_ids) for s in flat)), scenario, drone)
     steps = sum(g * g << g for g in template.group_sizes)  # 2^g * g states per group, each extended <= g ways
     if steps > MAX_TEMPLATE_DP_STEPS:
         size = f"{steps:,}" if steps.bit_length() <= 64 else f"more than 2^{max(template.group_sizes)}"
@@ -248,33 +243,36 @@ def instantiate_template(
                          f"(limit {MAX_TEMPLATE_DP_STEPS:,})")
 
     if not relabel:
-        return _instantiate_with_mapping(template, scenario, identity)
+        return _instantiate_with_mapping(template, scenario, identity, decoy_ids)
 
-    work = math.factorial(n) * _joint_orderings(template)
-    if work > EXHAUSTIVE_ORDERING_LIMIT:
-        raise GuardError(f"relabeling search over {n}! order assignments refused: about {work:,} "
-                         f"flattenings (limit {EXHAUSTIVE_ORDERING_LIMIT:,})")
+    work = math.factorial(n) * steps  # one DP per order assignment
+    if work > MAX_TEMPLATE_DP_STEPS:
+        size = f"{work:,}" if work.bit_length() <= 64 else f"more than {n}!"
+        raise GuardError(f"relabeling search over {n}! order assignments refused: {size} "
+                         f"dynamic-program steps (limit {MAX_TEMPLATE_DP_STEPS:,})")
     routes = (
-        _instantiate_with_mapping(template, scenario, mapping)
+        _instantiate_with_mapping(template, scenario, mapping, decoy_ids)
         for mapping in itertools.permutations(range(n))
     )
     return min(routes, key=lambda route: (travel_length(route.stops, scenario), route.sort_key))
 
 
-def _bind_stop(stop: Stop, scenario: Scenario, mapping: tuple[int, ...]) -> Stop:
+def _bind_stop(stop: Stop, scenario: Scenario, mapping: tuple[int, ...], decoy_ids: list[int]) -> Stop:
+    """The scenario stop for a template stop; ``decoy_ids`` are the scenario's decoy ids, sorted."""
     if stop.kind == "v":
         return Stop("v", scenario.orders[mapping[stop.sid - 1]][0].id)
     if stop.kind == "a":
         return Stop("a", scenario.orders[mapping[stop.sid - 1]][1].id)
-    return Stop("d", sorted(d.id for d in scenario.decoy_vendors)[stop.sid - 1])
+    return Stop("d", decoy_ids[stop.sid - 1])
 
 
 def _instantiate_with_mapping(
     template: RouteTemplate,
     scenario: Scenario,
     mapping: tuple[int, ...],
+    decoy_ids: list[int],
 ) -> Route:
-    groups = [[_bind_stop(s, scenario, mapping) for s in group] for group in template.groups]
+    groups = [[_bind_stop(s, scenario, mapping, decoy_ids) for s in group] for group in template.groups]
     stop_of = {s.sort_key: s for group in groups for s in group}
     xy = {key: scenario.coords[s.kind, s.sid] for key, s in stop_of.items()}
     # A prefix is (length so far, stop sort keys).  Legs are added in route order from 0.0, as

@@ -23,7 +23,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
-from itertools import compress, product
+from itertools import product
 from typing import Callable, Iterable, Iterator
 
 from .errors import GuardError
@@ -167,14 +167,15 @@ def _sequences(
     of the survivor fractions of the completed runs (``pn / pd``), which
     each order snapshots at pickup.  A delivered order's risk is final at
     once: the product's growth since its pickup, divided by the frozen
-    payload.
+    payload.  The picked and delivered orders and the used decoys are bit
+    masks (an order's bit is ``1 << position``, a decoy's ``1 << rank``).
 
     ``prune``, if given, is called once with the leg table, the stop layout
-    (``reals`` and ``custs``: (stop index, order position) pairs) and the
-    walk's live per-order lists (picked, dropped, the pickup snapshots and
-    the waits).  It returns ``cut``, which is called at every prefix with
-    the prefix's state; a prefix it answers true for is skipped with every
-    route that extends it.
+    (``reals`` and ``custs``: (stop index, order position, bit) triples) and
+    the pickup snapshots (``pickup_n`` and ``pickup_d``, per order position,
+    current for the orders aboard).  It returns ``cut``, which is called at
+    every prefix with ``walk``'s own arguments, masks included; a prefix it
+    answers true for is skipped with every route that extends it.
     """
     n = scenario.n
     order_of_vendor = scenario.order_index_by_vendor
@@ -184,22 +185,21 @@ def _sequences(
     customer_ids = sorted(c.id for c in scenario.customers)
     stops = [Stop("v", i) for i in vendor_ids] + [Stop("d", i) for i in decoy_ids]
     stops += [Stop("a", i) for i in customer_ids]
-    # (index into stops, order position); decoys need only the index
-    reals = [(k, order_of_vendor[i]) for k, i in enumerate(vendor_ids)]
-    decoys = list(range(n, n + len(decoy_ids)))
-    custs = [(n + len(decoy_ids) + k, order_of_customer[i]) for k, i in enumerate(customer_ids)]
+    # (index into stops, order position, order bit); decoys need only the index and a bit
+    reals = [(k, pos, 1 << pos) for k, pos in enumerate(order_of_vendor[i] for i in vendor_ids)]
+    decoys = [(n + j, 1 << j) for j in range(len(decoy_ids))]
+    custs = [(n + len(decoy_ids) + k, pos, 1 << pos)
+             for k, pos in enumerate(order_of_customer[i] for i in customer_ids)]
+    full = (1 << n) - 1
     # Without a drone every leg takes no time.  The extra all-zero last row (``last`` = -1)
     # is the leg into the first stop, where the clock starts.
     no_legs = [[0.0] * len(stops)]
     legs = (no_legs * len(stops) if drone is None else leg_times(stops, scenario, drone)) + no_legs
-    picked = [False] * n
-    dropped = [False] * n
-    decoy_used = [False] * len(stops)
     pickup_n = [1] * n  # pn and pd when each aboard order was picked up
     pickup_d = [1] * n
     waits = [0.0] * n
     path: list[Stop] = []
-    cut = None if prune is None else prune(legs, reals, custs, picked, dropped, pickup_n, pickup_d, waits)
+    cut = None if prune is None else prune(legs, reals, custs, pickup_n, pickup_d)
 
     def publish(sn, sd, wn, wd):
         if state is not None:
@@ -208,12 +208,14 @@ def _sequences(
             if drone is not None:
                 state.avg_wait = sum(waits) / n
 
-    # remaining: orders not yet delivered; frozen: the current customer run's payload (0 in a
-    # vendor run); sn / sd: risk sum; wn / wd: worst risk; t: clock; last: index of the last stop.
-    def walk(remaining, aboard, decoys_left, frozen, pn, pd, sn, sd, wn, wd, t, last):
-        if cut is not None and cut(remaining, aboard, decoys_left, frozen, pn, pd, sn, sd, wn, wd, t, last):
+    # picked / dropped / used: masks of the picked and delivered orders and the used decoys;
+    # frozen: the current customer run's payload (0 in a vendor run); sn / sd: risk sum; wn / wd:
+    # worst risk; t: clock; done: the delivered orders' waits, summed; last: index of the last stop.
+    def walk(picked, dropped, used, aboard, decoys_left, frozen, pn, pd, sn, sd, wn, wd, t, done, last):
+        if cut is not None and cut(picked, dropped, used, aboard, decoys_left, frozen, pn, pd, sn, sd, wn, wd,
+                                   t, done, last):
             return
-        if remaining == 0:
+        if dropped == full:
             publish(sn, sd, wn, wd)
             yield tuple(path)
         row = legs[last]
@@ -222,29 +224,25 @@ def _sequences(
             # That stop closes the customer run; the orders still aboard survived it.
             vpn, vpd = pn * (aboard + decoy_budget - decoys_left), pd * frozen
         if aboard < capacity:
-            for k, pos in reals:
-                if not picked[pos]:
-                    picked[pos] = True
+            for k, pos, bit in reals:
+                if not picked & bit:
                     pickup_n[pos] = vpn
                     pickup_d[pos] = vpd
                     path.append(stops[k])
-                    yield from walk(remaining, aboard + 1, decoys_left, 0, vpn, vpd, sn, sd, wn, wd,
-                                    t + row[k], k)
+                    yield from walk(picked | bit, dropped, used, aboard + 1, decoys_left, 0, vpn, vpd,
+                                    sn, sd, wn, wd, t + row[k], done, k)
                     path.pop()
-                    picked[pos] = False
         if decoys_left:
-            for k in decoys:
-                if not decoy_used[k]:
-                    decoy_used[k] = True
+            for k, bit in decoys:
+                if not used & bit:
                     path.append(stops[k])
-                    yield from walk(remaining, aboard, decoys_left - 1, 0, vpn, vpd, sn, sd, wn, wd,
-                                    t + row[k], k)
+                    yield from walk(picked, dropped, used | bit, aboard, decoys_left - 1, 0, vpn, vpd,
+                                    sn, sd, wn, wd, t + row[k], done, k)
                     path.pop()
-                    decoy_used[k] = False
         payload = frozen or aboard + decoy_budget - decoys_left
-        for k, pos in custs:
-            if picked[pos] and not dropped[pos]:
-                dropped[pos] = True
+        held = picked ^ dropped
+        for k, pos, bit in custs:
+            if held & bit:
                 num = pn * pickup_d[pos]
                 den = pd * pickup_n[pos] * payload
                 g = math.gcd(num, den)
@@ -257,19 +255,18 @@ def _sequences(
                     nwn, nwd = num, den
                 else:
                     nwn, nwd = wn, wd
-                waits[pos] = t + row[k]
+                wait = waits[pos] = t + row[k]
                 path.append(stops[k])
-                if remaining == 1 and not decoys_left:
+                if dropped | bit == full and not decoys_left:
                     # The last delivery, and no decoy left to append: the route is complete.
                     publish(nsn // g, nsd // g, nwn, nwd)
                     yield tuple(path)
                 else:
-                    yield from walk(remaining - 1, aboard - 1, decoys_left, payload, pn, pd,
-                                    nsn // g, nsd // g, nwn, nwd, waits[pos], k)
+                    yield from walk(picked, dropped | bit, used, aboard - 1, decoys_left, payload, pn, pd,
+                                    nsn // g, nsd // g, nwn, nwd, wait, done + wait, k)
                 path.pop()
-                dropped[pos] = False
 
-    yield from walk(n, 0, decoy_budget, 0, 1, 1, 0, 1, 0, 1, 0.0, -1)
+    yield from walk(0, 0, 0, 0, decoy_budget, 0, 1, 1, 0, 1, 0, 1, 0.0, 0.0, -1)
 
 
 def evaluate(
@@ -381,13 +378,14 @@ def _wait_to_go(
         undelivered = n - dropped.bit_count()
         best = math.inf if undelivered else 0.0
         row = legs[last]
-        if (picked ^ dropped).bit_count() < capacity:
-            for k, pos in reals:
-                if not picked >> pos & 1:
-                    best = min(best, undelivered * row[k] + togo(picked | 1 << pos, dropped, k))
-        for k, pos in custs:
-            if picked >> pos & 1 and not dropped >> pos & 1:
-                best = min(best, undelivered * row[k] + togo(picked, dropped | 1 << pos, k))
+        held = picked ^ dropped
+        if held.bit_count() < capacity:
+            for k, pos, bit in reals:
+                if not picked & bit:
+                    best = min(best, undelivered * row[k] + togo(picked | bit, dropped, k))
+        for k, pos, bit in custs:
+            if held & bit:
+                best = min(best, undelivered * row[k] + togo(picked, dropped | bit, k))
         return best
 
     return togo
@@ -476,14 +474,13 @@ def pareto_front(
     incumbents = ParetoAccumulator()
     visited = cut_routes = 0
 
-    def prune(legs, reals, custs, picked, dropped, pickup_n, pickup_d, waits):
+    def prune(legs, reals, custs, pickup_n, pickup_d):
         wait_to_go = _wait_to_go(legs, reals, custs, capacity)
         risk_to_go = _risk_to_go(capacity, decoy_budget)
         inc_waits, inc_risks = incumbents.waits, incumbents.risks
-        bits = [1 << pos for pos in range(n)]
         shrink = (1 - 1e-9) / n  # the bound adds in another order than the walk's sum(waits) / n
 
-        def cut(remaining, aboard, decoys_left, frozen, pn, pd, sn, sd, wn, wd, t, last):
+        def cut(picked, dropped, used, aboard, decoys_left, frozen, pn, pd, sn, sd, wn, wd, t, done, last):
             nonlocal visited, cut_routes
             visited += 1
             if visited > MAX_FRONT_NODES:
@@ -493,8 +490,8 @@ def pareto_front(
                 )
             if not inc_waits:
                 return False
-            togo = wait_to_go(sum(compress(bits, picked)), sum(compress(bits, dropped)), last)
-            i = bisect_left(inc_waits, (sum(compress(waits, dropped)) + remaining * t + togo) * shrink)
+            remaining = n - dropped.bit_count()
+            i = bisect_left(inc_waits, (done + remaining * t + wait_to_go(picked, dropped, last)) * shrink)
             if not i:
                 return False
             # The least risk among the walked routes that wait less than the bound: if it is no more
@@ -502,10 +499,11 @@ def pareto_front(
             rn, rd = inc_risks[i - 1].numerator, inc_risks[i - 1].denominator
             if average:
                 if rn * sd > sn * rd:  # the delivered risk sum alone does not cut; add the least to come
+                    held = picked ^ dropped
                     ratios = []
-                    for up, down, a, b in zip(picked, dropped, pickup_n, pickup_d):
-                        if up and not down:
-                            num, den = pn * b, pd * a
+                    for _, pos, bit in reals:
+                        if held & bit:
+                            num, den = pn * pickup_d[pos], pd * pickup_n[pos]
                             g = math.gcd(num, den)
                             ratios.append((num // g, den // g))
                     ratios.sort()

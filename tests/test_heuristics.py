@@ -30,7 +30,6 @@ from droneprivacy import (
     wait_times,
 )
 from droneprivacy.geometry import travel_length
-from droneprivacy.heuristics import _joint_orderings
 
 from conftest import exhaustive_instantiation
 
@@ -229,6 +228,11 @@ def test_instantiation_never_changes_the_risk_profile():
         assert privacy_risks(route, scenario).risks == closed_form_risks(params).risks
 
 
+def _joint_orderings(template):
+    """How many flattenings the exhaustive ordering search tries: the product of the group sizes' factorials."""
+    return math.prod(math.factorial(size) for size in template.group_sizes)
+
+
 def _grid(n):
     """Every split, reversal and stuffing template of n orders."""
     grid = [HeuristicParams("split", n, k=k, l=n - k) for k in range(1, n)]
@@ -355,17 +359,29 @@ def test_relabeling_guard():
 
 
 def test_relabeling_guard_bounds_the_work_not_n():
-    """n = 8 passes an n-only bound, but split(4,4) would flatten 8! * (4!)^4 times: refused up front."""
+    """n = 8 passes an n-only bound, but split(4,4) would take 8! DPs of 4 * 2^4 * 4^2 steps: refused up front."""
     import time
 
     start = time.perf_counter()
-    with pytest.raises(GuardError, match="13,377,208,320 flattenings"):
+    with pytest.raises(GuardError, match="41,287,680 dynamic-program steps"):
         instantiate_template(split_template(8, 4, 4), abstract_scenario(8), DroneSpec(capacity=4),
                              relabel=True)
     assert time.perf_counter() - start < 1.0
-    # n = 5 stuffing(c=3) searches 5! * 3! * 3! = 4,320 flattenings and stays allowed.
+    # n = 5 stuffing(c=3) takes 5! DPs of 2 * (2^3 * 3^2) + 4 * 2 = 152 steps, 18,240 in all: allowed.
     route = instantiate_template(stuffing_template(5, 3), abstract_scenario(5), DroneSpec(capacity=3),
                                  relabel=True)
     assert sorted(privacy_risks(route, abstract_scenario(5)).risks) == sorted(
         closed_form_risks(HeuristicParams("stuffing", 5, c=3)).risks
     )
+
+
+def test_relabeled_aggregation_is_searched_at_n5():
+    """Aggregation at n = 5 relabels in 5! DPs of 2 * 2^5 * 5^2 steps (192,000 in all), within the limit.
+
+    Every relabeling of aggregation flattens to the same routes, so the search returns the identity's.
+    """
+    scenario = generate("uniform", 5, seed=0)
+    drone = DroneSpec(capacity=5)
+    template = reversal_template(5, 0)
+    assert instantiate_template(template, scenario, drone, relabel=True) == instantiate_template(
+        template, scenario, drone)

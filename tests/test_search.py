@@ -292,6 +292,35 @@ def test_pruned_front_equals_the_exhaustive_front_at_n5(topology, objective):
         assert front.routes_walked < front.total_routes
 
 
+@pytest.mark.parametrize("objective", ["avg_risk", "worst_risk"])
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_pruned_front_equals_the_exhaustive_front_at_the_decoy_budget_limit(n, objective):
+    """Budget MAX_DECOY_BUDGET (3) with three decoys, every capacity: the walk tracks the used decoys in a mask."""
+    budget = search.MAX_DECOY_BUDGET
+    for scenario in (generate("uniform", n, n_decoys=budget, seed=0), abstract_scenario(n, n_decoys=budget)):
+        for capacity in range(1, n + 1):
+            _assert_front_is_exhaustive(scenario, DroneSpec(capacity), objective, budget)
+
+
+# Seed-0 fronts: (topology, n, decoys, budget, capacity, objective, prefixes visited, routes walked).
+CUT_STRENGTH = [
+    ("two_clusters", 6, 0, 0, 3, "avg_risk", 163_917, 317),
+    ("two_clusters", 6, 0, 0, 3, "worst_risk", 1_744, 175),
+    ("uniform", 5, 2, 2, 3, "avg_risk", 33_534, 1_117),
+    ("linear", 6, 1, 1, 6, "avg_risk", 114_179, 997),
+    ("hub_spoke", 6, 0, 0, 2, "avg_risk", 6_826, 123),
+]
+
+
+@pytest.mark.parametrize("topology, n, n_decoys, budget, capacity, objective, prefixes, walked", CUT_STRENGTH)
+def test_the_cut_is_no_weaker(monkeypatch, topology, n, n_decoys, budget, capacity, objective, prefixes, walked):
+    """A front visits no more prefixes (the guard would refuse) and walks no more routes than these counts."""
+    monkeypatch.setattr(search, "MAX_FRONT_NODES", prefixes)
+    scenario = generate(topology, n, n_decoys=n_decoys, seed=0)
+    front = pareto_front(scenario, DroneSpec(capacity), (objective, "avg_wait"), budget)
+    assert front.routes_walked <= walked
+
+
 def test_route_counter_matches_enumeration():
     """The recurrence that counts cut subtrees counts every route the walker yields."""
     for n in range(1, 5):

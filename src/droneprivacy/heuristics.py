@@ -233,46 +233,39 @@ def instantiate_template(
     # Validity depends neither on the order inside a group nor on the relabeling, so one flattening
     # checks them all.
     identity = tuple(range(n))
-    decoy_ids = sorted(d.id for d in scenario.decoy_vendors)
-    flat = template.flatten().stops
-    require_valid(Route(tuple(_bind_stop(s, scenario, identity, decoy_ids) for s in flat)), scenario, drone)
+    require_valid(Route(tuple(_bind_stop(s, scenario, identity) for s in template.flatten().stops)),
+                  scenario, drone)
     steps = sum(g * g << g for g in template.group_sizes)  # 2^g * g states per group, each extended <= g ways
-    if steps > MAX_TEMPLATE_DP_STEPS:
-        size = f"{steps:,}" if steps.bit_length() <= 64 else f"more than 2^{max(template.group_sizes)}"
-        raise GuardError(f"template instantiation refused: {size} dynamic-program steps "
+    work = steps * (math.factorial(n) if relabel else 1)  # a relabeling search runs one DP per order assignment
+    if work > MAX_TEMPLATE_DP_STEPS:
+        size = f"{work:,}" if work.bit_length() <= 64 else f"more than 2^{work.bit_length() - 1}"
+        over = f" over {n}! order assignments" if relabel else ""
+        raise GuardError(f"template instantiation refused: {size} dynamic-program steps{over} "
                          f"(limit {MAX_TEMPLATE_DP_STEPS:,})")
 
     if not relabel:
-        return _instantiate_with_mapping(template, scenario, identity, decoy_ids)
-
-    work = math.factorial(n) * steps  # one DP per order assignment
-    if work > MAX_TEMPLATE_DP_STEPS:
-        size = f"{work:,}" if work.bit_length() <= 64 else f"more than {n}!"
-        raise GuardError(f"relabeling search over {n}! order assignments refused: {size} "
-                         f"dynamic-program steps (limit {MAX_TEMPLATE_DP_STEPS:,})")
+        return _instantiate_with_mapping(template, scenario, identity)
     routes = (
-        _instantiate_with_mapping(template, scenario, mapping, decoy_ids)
+        _instantiate_with_mapping(template, scenario, mapping)
         for mapping in itertools.permutations(range(n))
     )
     return min(routes, key=lambda route: (travel_length(route.stops, scenario), route.sort_key))
 
 
-def _bind_stop(stop: Stop, scenario: Scenario, mapping: tuple[int, ...], decoy_ids: list[int]) -> Stop:
-    """The scenario stop for a template stop; ``decoy_ids`` are the scenario's decoy ids, sorted."""
+def _bind_stop(stop: Stop, scenario: Scenario, mapping: tuple[int, ...]) -> Stop:
     if stop.kind == "v":
         return Stop("v", scenario.orders[mapping[stop.sid - 1]][0].id)
     if stop.kind == "a":
         return Stop("a", scenario.orders[mapping[stop.sid - 1]][1].id)
-    return Stop("d", decoy_ids[stop.sid - 1])
+    return Stop("d", scenario.decoy_ids[stop.sid - 1])
 
 
 def _instantiate_with_mapping(
     template: RouteTemplate,
     scenario: Scenario,
     mapping: tuple[int, ...],
-    decoy_ids: list[int],
 ) -> Route:
-    groups = [[_bind_stop(s, scenario, mapping, decoy_ids) for s in group] for group in template.groups]
+    groups = [[_bind_stop(s, scenario, mapping) for s in group] for group in template.groups]
     stop_of = {s.sort_key: s for group in groups for s in group}
     xy = {key: scenario.coords[s.kind, s.sid] for key, s in stop_of.items()}
     # A prefix is (length so far, stop sort keys).  Legs are added in route order from 0.0, as

@@ -168,6 +168,11 @@ class Scenario:
         return tuple(v for v in self.vendors if v.decoy)
 
     @cached_property
+    def decoy_ids(self) -> tuple[int, ...]:
+        """Decoy ids, sorted: decoy rank ``k`` (template stop ``dk``) is ``decoy_ids[k - 1]``."""
+        return tuple(sorted(v.id for v in self.decoy_vendors))
+
+    @cached_property
     def _sites(self) -> dict[tuple[str, int], VendorSite | CustomerSite]:
         """``(stop kind, stop id)`` -> site, for every site."""
         sites = {("d" if v.decoy else "v", v.id): v for v in self.vendors}

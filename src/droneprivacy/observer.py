@@ -138,7 +138,7 @@ def posterior_matrix(route: Route, scenario: Scenario, *, check: bool = True) ->
         require_valid(route, scenario)
     sizes = _drop_sizes(route)
     columns: list[Stop] = [Stop("v", vendor.id) for vendor, _ in scenario.orders]
-    columns += [Stop("d", d.id) for d in sorted(scenario.decoy_vendors, key=lambda v: v.id)]
+    columns += [Stop("d", i) for i in scenario.decoy_ids]
     col_index = {stop: j for j, stop in enumerate(columns)}
     order_of_customer = scenario.order_index
     cells = [[0] * len(columns) for _ in range(scenario.n)]

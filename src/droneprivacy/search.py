@@ -181,14 +181,13 @@ def _sequences(
     order_of_vendor = scenario.order_index_by_vendor
     order_of_customer = scenario.order_index
     vendor_ids = sorted(v.id for v in scenario.real_vendors)
-    decoy_ids = sorted(d.id for d in scenario.decoy_vendors)
     customer_ids = sorted(c.id for c in scenario.customers)
-    stops = [Stop("v", i) for i in vendor_ids] + [Stop("d", i) for i in decoy_ids]
+    stops = [Stop("v", i) for i in vendor_ids] + [Stop("d", i) for i in scenario.decoy_ids]
     stops += [Stop("a", i) for i in customer_ids]
     # (index into stops, order position, order bit); decoys need only the index and a bit
     reals = [(k, pos, 1 << pos) for k, pos in enumerate(order_of_vendor[i] for i in vendor_ids)]
-    decoys = [(n + j, 1 << j) for j in range(len(decoy_ids))]
-    custs = [(n + len(decoy_ids) + k, pos, 1 << pos)
+    decoys = [(n + j, 1 << j) for j in range(scenario.n_decoys)]
+    custs = [(n + scenario.n_decoys + k, pos, 1 << pos)
              for k, pos in enumerate(order_of_customer[i] for i in customer_ids)]
     full = (1 << n) - 1
     # Without a drone every leg takes no time.  The extra all-zero last row (``last`` = -1)
@@ -478,7 +477,9 @@ def pareto_front(
         wait_to_go = _wait_to_go(legs, reals, custs, capacity)
         risk_to_go = _risk_to_go(capacity, decoy_budget)
         inc_waits, inc_risks = incumbents.waits, incumbents.risks
-        shrink = (1 - 1e-9) / n  # the bound adds in another order than the walk's sum(waits) / n
+        # The bound adds in other orders than the walk's sum(waits) / n (in order position): ``done``
+        # sums the delivered waits in delivery order.  The slack covers both differences.
+        shrink = (1 - 1e-9) / n
 
         def cut(picked, dropped, used, aboard, decoys_left, frozen, pn, pd, sn, sd, wn, wd, t, done, last):
             nonlocal visited, cut_routes

@@ -145,8 +145,7 @@ def exhaustive_sweep(n_range, c_range, decoy_range) -> dict[tuple[int, int, int]
 def exhaustive_instantiation(template: RouteTemplate, scenario: Scenario, mapping: tuple[int, ...]) -> Route:
     """The shortest flattening of a template bound by ``mapping``, by trying every joint within-group
     ordering; ties go to the smallest stop sequence (the group-wise DP's oracle)."""
-    decoy_ids = sorted(d.id for d in scenario.decoy_vendors)
-    groups = [[_bind_stop(s, scenario, mapping, decoy_ids) for s in group] for group in template.groups]
+    groups = [[_bind_stop(s, scenario, mapping) for s in group] for group in template.groups]
     flats = (
         tuple(s for group in orderings for s in group)
         for orderings in itertools.product(*(itertools.permutations(g) for g in groups))

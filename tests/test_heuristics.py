@@ -316,7 +316,7 @@ def test_oversized_templates_are_refused_before_the_search():
     start = time.perf_counter()
     with pytest.raises(GuardError, match="41,943,040,000 dynamic-program steps"):
         instantiate_template(reversal_template(25, 0), scenario, DroneSpec(capacity=25))
-    with pytest.raises(GuardError, match=r"more than 2\^200 dynamic-program steps"):
+    with pytest.raises(GuardError, match=r"more than 2\^216 dynamic-program steps"):
         instantiate_template(reversal_template(200, 0), abstract_scenario(200), DroneSpec(capacity=200))
     # n = 15 is the first aggregation past the limit (n = 14 takes 6,422,528 steps, about 2 s).
     with pytest.raises(GuardError, match="14,745,600 dynamic-program steps"):

@@ -58,7 +58,7 @@ from .observer import (
     posterior_matrix,
     risks_from_posterior,
 )
-from .risk import RiskReport, average_risk, privacy_risks, worst_case_risk
+from .risk import RiskReport, privacy_risks
 from .search import (
     MAX_DECOY_BUDGET,
     MAX_ORDERS,
@@ -102,7 +102,6 @@ __all__ = [
     "VendorSite",
     "WaitReport",
     "abstract_scenario",
-    "average_risk",
     "closed_form_risks",
     "enumerate_routes",
     "enumerate_worlds",

@@ -25,10 +25,10 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import itemgetter
 from typing import Literal
 
-from .errors import GuardError
-from .geometry import travel_length
+from .errors import GuardError, factorial_count, format_count
 from .model import DroneSpec, Route, RouteTemplate, Scenario, Stop, require_valid
 from .risk import RiskReport
 
@@ -236,20 +236,16 @@ def instantiate_template(
     require_valid(Route(tuple(_bind_stop(s, scenario, identity) for s in template.flatten().stops)),
                   scenario, drone)
     steps = sum(g * g << g for g in template.group_sizes)  # 2^g * g states per group, each extended <= g ways
-    work = steps * (math.factorial(n) if relabel else 1)  # a relabeling search runs one DP per order assignment
+    work = steps * (factorial_count(n) if relabel else 1)  # relabeling runs one DP per order assignment
     if work > MAX_TEMPLATE_DP_STEPS:
-        size = f"{work:,}" if work.bit_length() <= 64 else f"more than 2^{work.bit_length() - 1}"
         over = f" over {n}! order assignments" if relabel else ""
-        raise GuardError(f"template instantiation refused: {size} dynamic-program steps{over} "
+        raise GuardError(f"template instantiation refused: {format_count(work)} dynamic-program steps{over} "
                          f"(limit {MAX_TEMPLATE_DP_STEPS:,})")
 
     if not relabel:
-        return _instantiate_with_mapping(template, scenario, identity)
-    routes = (
-        _instantiate_with_mapping(template, scenario, mapping)
-        for mapping in itertools.permutations(range(n))
-    )
-    return min(routes, key=lambda route: (travel_length(route.stops, scenario), route.sort_key))
+        return _instantiate_with_mapping(template, scenario, identity)[1]
+    found = (_instantiate_with_mapping(template, scenario, m) for m in itertools.permutations(range(n)))
+    return min(found, key=itemgetter(0))[1]  # the least (length, stop sort keys), as travel_length sums it
 
 
 def _bind_stop(stop: Stop, scenario: Scenario, mapping: tuple[int, ...]) -> Stop:
@@ -264,7 +260,7 @@ def _instantiate_with_mapping(
     template: RouteTemplate,
     scenario: Scenario,
     mapping: tuple[int, ...],
-) -> Route:
+) -> tuple[tuple[float, tuple], Route]:
     groups = [[_bind_stop(s, scenario, mapping) for s in group] for group in template.groups]
     stop_of = {s.sort_key: s for group in groups for s in group}
     xy = {key: scenario.coords[s.kind, s.sid] for key, s in stop_of.items()}
@@ -289,4 +285,5 @@ def _instantiate_with_mapping(
                     if key not in slot or step < slot[key]:
                         slot[key] = step
         ends = states[full]
-    return Route(tuple(map(stop_of.__getitem__, min(ends.values())[1])))
+    best = min(ends.values())
+    return best, Route(tuple(map(stop_of.__getitem__, best[1])))

@@ -120,7 +120,10 @@ def save_scenario(sf: ScenarioFile, path: str | Path) -> None:
 
 
 def load_scenario(path: str | Path) -> ScenarioFile:
-    return scenario_file_from_dict(json.loads(Path(path).read_text()))
+    try:
+        return scenario_file_from_dict(json.loads(Path(path).read_text()))
+    except RecursionError:  # JSON nested deeper than the parser recurses: a malformed file like any other
+        raise ValueError("malformed scenario file: JSON nested too deeply") from None
 
 
 FRONT_CSV_COLUMNS = (

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from operator import attrgetter
 
-from .errors import GuardError
+from .errors import EXACT_COUNT_BITS, GuardError, format_count
 from .model import Route, Scenario, Stop, require_valid
 
 MAX_OBSERVED_ITEMS = 10
@@ -63,16 +63,18 @@ def _drop_sizes(route: Route) -> list[int]:
     branch count D, passes ``MAX_OBSERVED_ITEMS!``, so before any walk."""
     sizes: list[int] = []
     aboard = 0
+    worlds = 1  # D, which stops growing past EXACT_COUNT_BITS: refused either way
     for stop in route.stops:
         if stop.is_vendor:
             aboard += 1
         else:
             sizes.append(aboard)
+            if worlds.bit_length() <= EXACT_COUNT_BITS:
+                worlds *= aboard
             aboard -= 1
-    worlds = math.prod(sizes)
     if worlds > math.factorial(MAX_OBSERVED_ITEMS):
         raise GuardError(
-            f"observer enumeration over {worlds:,} branches exceeds the limit of "
+            f"observer enumeration over {format_count(worlds)} branches exceeds the limit of "
             f"{MAX_OBSERVED_ITEMS}! = {math.factorial(MAX_OBSERVED_ITEMS):,}"
         )
     return sizes

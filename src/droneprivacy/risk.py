@@ -39,26 +39,15 @@ class RiskReport:
     @classmethod
     def from_risks(cls, risks: Sequence[Fraction], customer_ids: Sequence[int]) -> "RiskReport":
         risks = tuple(risks)
-        return cls(
-            risks=risks,
-            worst_case=worst_case_risk(risks),
-            average=average_risk(risks),
-            customer_ids=tuple(customer_ids),
-        )
+        return _report(risks, [r.numerator for r in risks], [r.denominator for r in risks], customer_ids)
 
 
-def worst_case_risk(risks: Sequence[Fraction]) -> Fraction:
-    """Maximum entry of a non-empty risk vector."""
+def _report(risks: tuple, nums: list[int], dens: list[int], customer_ids: Sequence[int]) -> RiskReport:
+    """The report of the risks ``nums[i] / dens[i]`` (``risks``, as Fractions), with their max and mean."""
     if not risks:
         raise ValueError("risk vector is empty")
-    return max(risks)
-
-
-def average_risk(risks: Sequence[Fraction]) -> Fraction:
-    """Exact arithmetic mean of a non-empty risk vector."""
-    if not risks:
-        raise ValueError("risk vector is empty")
-    return Fraction(sum(risks), len(risks))
+    return RiskReport(risks, Fraction(*_worst_pair(nums, dens)), Fraction(*_average_pair(nums, dens)),
+                      tuple(customer_ids))
 
 
 def privacy_risks(route: Route, scenario: Scenario, *, check: bool = True) -> RiskReport:
@@ -71,12 +60,7 @@ def privacy_risks(route: Route, scenario: Scenario, *, check: bool = True) -> Ri
     if check:
         require_valid(route, scenario)
     nums, dens = _run_recurrence(route.stops, scenario)
-    return RiskReport(
-        risks=tuple(map(Fraction, nums, dens)),
-        worst_case=Fraction(*_worst_pair(nums, dens)),
-        average=Fraction(*_average_pair(nums, dens)),
-        customer_ids=tuple(c.id for c in scenario.customers),
-    )
+    return _report(tuple(map(Fraction, nums, dens)), nums, dens, tuple(c.id for c in scenario.customers))
 
 
 def _run_recurrence(stops: Sequence[Stop], scenario: Scenario) -> tuple[list[int], list[int]]:

@@ -26,9 +26,9 @@ from functools import cache
 from itertools import product
 from typing import Callable, Iterable, Iterator
 
-from .errors import GuardError
+from .errors import GuardError, factorial_count, format_count
 from .geometry import leg_times, wait_times
-from .model import DroneSpec, Route, Scenario, Stop, abstract_scenario, require_valid
+from .model import DroneSpec, Route, Scenario, Stop, require_valid
 from .risk import privacy_risks
 
 MAX_ORDERS = 7
@@ -82,33 +82,31 @@ class ParetoFront:
     routes_walked: int
 
 
-def _check_budget(scenario: Scenario, decoy_budget: int) -> None:
+def _check_budget(n_decoys: int, decoy_budget: int) -> None:
     if decoy_budget < 0:
         raise ValueError("decoy budget must be non-negative")
-    if decoy_budget > scenario.n_decoys:
-        raise ValueError(
-            f"decoy budget {decoy_budget} exceeds the scenario's {scenario.n_decoys} decoys"
-        )
+    if decoy_budget > n_decoys:
+        raise ValueError(f"decoy budget {decoy_budget} exceeds the scenario's {n_decoys} decoys")
 
 
-def _route_total(scenario: Scenario, capacity: int, decoy_budget: int) -> tuple[int, str]:
-    """The number of valid routes and its text for a refusal; past the walk limit, n! and "at least n!"."""
-    routes = math.factorial(scenario.n)  # every walk holds the n! routes that serve one order at a time
+def _route_total(n: int, n_decoys: int, capacity: int, decoy_budget: int) -> tuple[int, str]:
+    """The route count and its refusal text; past the walk limit, ``factorial_count(n)``, "at least n!"."""
+    routes = factorial_count(n)  # every walk holds the n! routes that serve one order at a time
     if routes > MAX_ROUTES:  # refused either way; the counter would recurse 2n deep
-        return routes, f"at least {scenario.n}!"
-    routes = _route_counter(scenario.n_decoys, capacity, decoy_budget)(scenario.n, 0, decoy_budget)
-    return routes, f"{routes:,}"
+        return routes, f"at least {n}!"
+    routes = _route_counter(n_decoys, capacity, decoy_budget)(n, 0, decoy_budget)
+    return routes, format_count(routes)
 
 
-def _check_guards(scenario: Scenario, capacity: int, decoy_budget: int) -> None:
+def _check_guards(n: int, n_decoys: int, capacity: int, decoy_budget: int) -> None:
     """Refuse a walk over more routes than the full decoy-free walk at ``MAX_ORDERS`` orders."""
-    _check_budget(scenario, decoy_budget)
+    _check_budget(n_decoys, decoy_budget)
     if decoy_budget > MAX_DECOY_BUDGET:
         raise GuardError(f"enumeration with decoy budget {decoy_budget} refused (limit {MAX_DECOY_BUDGET})")
-    routes, size = _route_total(scenario, capacity, decoy_budget)
+    routes, size = _route_total(n, n_decoys, capacity, decoy_budget)
     if routes > MAX_ROUTES:
         raise GuardError(
-            f"enumeration over n={scenario.n}, capacity {capacity}, decoy budget {decoy_budget} refused: "
+            f"enumeration over n={n}, capacity {capacity}, decoy budget {decoy_budget} refused: "
             f"{size} routes (limit {MAX_ROUTES:,}, the full walk at n={MAX_ORDERS})"
         )
 
@@ -131,7 +129,7 @@ def enumerate_routes(scenario: Scenario, drone: DroneSpec, decoy_budget: int = 0
     ``decoy_budget`` distinct decoy vendors (anywhere in the route, trailing
     stops included).
     """
-    _check_guards(scenario, drone.capacity, decoy_budget)
+    _check_guards(scenario.n, scenario.n_decoys, drone.capacity, decoy_budget)
     for seq in _sequences(scenario, drone.capacity, decoy_budget):
         yield Route(seq)
 
@@ -456,16 +454,16 @@ def pareto_front(
         raise ValueError(
             f"objectives must pair one of {RISK_OBJECTIVES} with {WAIT_OBJECTIVE!r}, got {objectives}"
         )
-    _check_budget(scenario, decoy_budget)
-    n, capacity = scenario.n, drone.capacity
+    n, n_decoys, capacity = scenario.n, scenario.n_decoys, drone.capacity
+    _check_budget(n_decoys, decoy_budget)
     states = 2 * n * 3 ** (n - 1)
     if states > MAX_WAIT_BOUND_STATES or decoy_budget > MAX_DECOY_BUDGET:
         raise GuardError(
             f"front over n={n}, decoy budget {decoy_budget} refused (limits: a wait-bound table of "
-            f"{states:,} states <= {MAX_WAIT_BOUND_STATES:,}, budget <= {MAX_DECOY_BUDGET}); "
-            f"{_route_total(scenario, capacity, decoy_budget)[1]} routes"
+            f"{format_count(states)} states <= {MAX_WAIT_BOUND_STATES:,}, budget <= {MAX_DECOY_BUDGET}); "
+            f"{_route_total(n, n_decoys, capacity, decoy_budget)[1]} routes"
         )
-    count = _route_counter(scenario.n_decoys, capacity, decoy_budget)
+    count = _route_counter(n_decoys, capacity, decoy_budget)
     average = risk_obj == "avg_risk"
 
     # The walked routes' non-dominated (risk, wait) pairs (the risk sum for the average objective), which
@@ -487,7 +485,7 @@ def pareto_front(
             if visited > MAX_FRONT_NODES:
                 raise GuardError(
                     f"front walk refused after {visited - 1:,} prefixes (budget {MAX_FRONT_NODES:,}); "
-                    f"{_route_total(scenario, capacity, decoy_budget)[1]} routes"
+                    f"{_route_total(n, n_decoys, capacity, decoy_budget)[1]} routes"
                 )
             if not inc_waits:
                 return False
@@ -543,7 +541,9 @@ def min_avg_risk_sweep(
     Risk depends only on route structure and order labels are interchangeable,
     so a cell is :func:`_risk_to_go`'s least risk sum from the start state
     ``(n, (), 0, budget)``, over n; one memo per (capacity, budget) serves
-    every n.  Every cell's guard (that of the exhaustive walk) is checked first.
+    every n, and capacities past the largest n share its memo.  The exhaustive
+    walk's guard is checked first, at the largest cell: the route count grows
+    with n, capacity and budget, so it is refused whenever any cell is.
     """
     n_values = sorted(set(n_range))
     c_values = sorted(set(c_range))
@@ -552,8 +552,8 @@ def min_avg_risk_sweep(
         raise ValueError("all sweep ranges must be non-empty")
     if min(n_values) < 1 or min(c_values) < 1 or min(d_values) < 0:
         raise ValueError("sweep ranges out of bounds")
-    for n, n_d in product(n_values, d_values):
-        _check_guards(abstract_scenario(n, n_d), min(max(c_values), n), n_d)
-    memos = {(c, n_d): _risk_to_go(c, n_d) for c, n_d in product(c_values, d_values)}
-    return {(n, c, n_d): Fraction(*memos[c, n_d](n, (), 0, n_d)) / n
+    n_max, d_max = n_values[-1], d_values[-1]
+    _check_guards(n_max, d_max, min(c_values[-1], n_max), d_max)
+    memos = {(c, n_d): _risk_to_go(c, n_d) for c, n_d in product({min(c, n_max) for c in c_values}, d_values)}
+    return {(n, c, n_d): Fraction(*memos[min(c, n_max), n_d](n, (), 0, n_d)) / n
             for n, n_d, c in product(n_values, d_values, c_values)}

@@ -47,7 +47,7 @@ def malformed_files(draw):
     n = draw(st.integers(1, 3))
     data = _scenario(n, draw(st.booleans()))
     sites = data["vendors"] + data["customers"]
-    faults = ["coordinate", "motion", "version", "id", "missing-key", "top-level", "not-json"]
+    faults = ["coordinate", "motion", "version", "id", "missing-key", "top-level", "nested", "not-json"]
     fault = draw(st.sampled_from(faults))
     if fault == "coordinate":
         draw(st.sampled_from(sites))[draw(st.sampled_from("xy"))] = draw(st.sampled_from(NOT_REAL))
@@ -63,6 +63,8 @@ def malformed_files(draw):
         del owner[draw(st.sampled_from(sorted(REQUIRED_KEYS & set(owner))))]
     elif fault == "top-level":
         data = draw(st.sampled_from([[data], 7, "scenario", None, True]))
+    elif fault == "nested":
+        return n, "[" * 200_000  # deeper than the JSON parser recurses
     else:
         return n, json.dumps(data)[:-1]  # truncated
     return n, json.dumps(data)  # NaN and Infinity as Python's json writes them

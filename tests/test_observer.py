@@ -162,6 +162,15 @@ def test_size_guard_refuses_eleven_items():
         posterior_matrix(route, scenario)
 
 
+def test_size_guard_refuses_a_2000_order_aggregated_route_at_once():
+    """D = 2000! has 5,736 digits; the count stops growing past 64 bits and prints as a power of two."""
+    scenario = abstract_scenario(2000)
+    route = Route(tuple(Stop("v", i) for i in range(1, 2001)) + tuple(Stop("a", i) for i in range(1, 2001)))
+    for walk in (enumerate_worlds, posterior_matrix):
+        with pytest.raises(GuardError, match=r"more than 2\^\d+ branches exceeds the limit of 10! = 3,628,800"):
+            walk(route, scenario)
+
+
 def test_size_guard_allows_ten_items_on_a_cheap_route():
     scenario = abstract_scenario(10)
     route = Route(tuple(s for i in range(10) for s in (Stop("v", i + 1), Stop("a", i + 1))))

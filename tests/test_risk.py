@@ -5,15 +5,14 @@ from fractions import Fraction as F
 import pytest
 
 from droneprivacy import (
+    RiskReport,
     Route,
     Stop,
     abstract_scenario,
-    average_risk,
     enumerate_worlds,
     posterior_matrix,
     privacy_risks,
     risks_from_posterior,
-    worst_case_risk,
 )
 
 
@@ -83,20 +82,25 @@ def test_decoy_after_drop_changes_nothing():
     assert report.risks == (F(1),)
 
 
+def _report(*risks):
+    return RiskReport.from_risks(risks, range(1, len(risks) + 1))
+
+
 def test_vector_aggregates():
-    assert worst_case_risk((F(1, 4), F(1, 2), F(1, 2))) == F(1, 2)
-    assert worst_case_risk((F(1, 5),) * 5) == F(1, 5)
-    assert worst_case_risk((F(1),)) == F(1)
-    assert average_risk((F(1, 4), F(1, 2), F(1, 2))) == F(5, 12)
-    assert average_risk((F(1, 4), F(1, 2), F(1, 4), F(1, 2))) == F(3, 8)
-    assert average_risk((F(1), F(1))) == F(1)
+    assert _report(F(1, 4), F(1, 2), F(1, 2)).worst_case == F(1, 2)
+    assert _report(*(F(1, 5),) * 5).worst_case == F(1, 5)
+    assert _report(F(1)).worst_case == F(1)
+    assert _report(F(1, 4), F(1, 2), F(1, 2)).average == F(5, 12)
+    assert _report(F(1, 4), F(1, 2), F(1, 4), F(1, 2)).average == F(3, 8)
+    assert _report(F(1), F(1)).average == F(1)
+    # Unequal denominators: the mean and the max are still the exact Fractions.
+    assert _report(F(2, 6), F(3, 9), F(1, 6)).average == F(5, 18)
+    assert _report(F(1, 3), F(2, 7), F(1, 3)).worst_case == F(1, 3)
 
 
 def test_vector_aggregates_reject_empty():
-    with pytest.raises(ValueError):
-        worst_case_risk(())
-    with pytest.raises(ValueError):
-        average_risk(())
+    with pytest.raises(ValueError, match="risk vector is empty"):
+        RiskReport.from_risks((), ())
 
 
 def test_invalid_route_rejected():

@@ -27,6 +27,7 @@ from droneprivacy import (
     wait_times,
 )
 from droneprivacy import search
+from droneprivacy.errors import factorial_count, format_count
 from droneprivacy.search import _RouteState, _route_counter, _sequences
 from conftest import brute_force_routes, exhaustive_front, exhaustive_sweep, max_load
 
@@ -355,6 +356,22 @@ def test_front_guard_refuses_600_orders_without_counting_them():
         pareto_front(abstract_scenario(600), DroneSpec(capacity=600))
 
 
+def test_front_guard_prints_a_wait_table_past_4300_digits():
+    """2n * 3^(n-1) wait-table states pass Python's 4,300-digit str limit from n = 9,014; the refusal prints
+    the count as a power of two instead of failing to print it."""
+    with pytest.raises(GuardError, match=r"more than 2\^14435 states .* at least 9100! routes"):
+        pareto_front(abstract_scenario(9_100), DroneSpec(capacity=1))
+
+
+def test_guard_counts_print_exactly_up_to_64_bits():
+    assert format_count(2**64 - 1) == "18,446,744,073,709,551,615"
+    assert format_count(2**64) == "more than 2^64"
+    assert format_count(10**5000) == "more than 2^16609"
+    # 21! is the first factorial past 64 bits, so n! stops growing there and still refuses what n! would.
+    assert [factorial_count(n) for n in range(22)] == [math.factorial(n) for n in range(22)]
+    assert math.factorial(20).bit_length() <= 64 < factorial_count(10**6).bit_length()
+
+
 def _walk(scenario, capacity, budget, motion):
     """Every route the walker yields, with the state it carries for it."""
     state = _RouteState()
@@ -492,6 +509,32 @@ def test_sweep_checks_every_guard_before_its_first_walk(monkeypatch):
     monkeypatch.setattr(search, "_risk_to_go", no_memo)
     with pytest.raises(GuardError, match="n=8"):
         min_avg_risk_sweep(range(7, 9), [8], [0])
+
+
+def test_sweep_refuses_a_million_orders_at_once():
+    """The guard takes n, not a placeholder scenario of n orders, and never computes n! in full."""
+    import time
+
+    start = time.perf_counter()
+    with pytest.raises(GuardError, match=r"n=1000000, capacity 1, decoy budget 0 refused: at least 1000000!"):
+        min_avg_risk_sweep([10**6], [1], [0])
+    assert time.perf_counter() - start < 1.0
+
+
+def test_sweep_builds_one_memo_per_capacity_up_to_the_largest_n(monkeypatch):
+    """A cell never holds more items than orders, so capacities past the largest n share its memo."""
+    built = []
+    risk_to_go = search._risk_to_go
+
+    def counted(capacity, decoy_budget):
+        built.append((capacity, decoy_budget))
+        return risk_to_go(capacity, decoy_budget)
+
+    monkeypatch.setattr(search, "_risk_to_go", counted)
+    ranges = (range(1, 5), range(1, 10), range(2))
+    table = min_avg_risk_sweep(*ranges)
+    assert sorted(built) == [(c, d) for c in range(1, 5) for d in range(2)]
+    assert table == exhaustive_sweep(*ranges)
 
 
 @pytest.mark.parametrize("n_max, d_max", [(5, 0), (4, 3)])

@@ -85,18 +85,6 @@ def leg_times(
     return table
 
 
-def travel_length(stops: Sequence[Stop], scenario: Scenario) -> float:
-    """Total Euclidean length (meters) of the legs between consecutive stops, summed in route order."""
-    xy = scenario.coords
-    total = 0.0
-    px, py = xy[stops[0].kind, stops[0].sid]
-    for stop in stops[1:]:
-        x, y = xy[stop.kind, stop.sid]
-        total += math.hypot(x - px, y - py)
-        px, py = x, y
-    return total
-
-
 def unit_square_fixture(config: Literal["diagonal", "adjacent"]) -> Scenario:
     """Two orders on the corners of a unit square (meters).
 

@@ -245,7 +245,7 @@ def instantiate_template(
     if not relabel:
         return _instantiate_with_mapping(template, scenario, identity)[1]
     found = (_instantiate_with_mapping(template, scenario, m) for m in itertools.permutations(range(n)))
-    return min(found, key=itemgetter(0))[1]  # the least (length, stop sort keys), as travel_length sums it
+    return min(found, key=itemgetter(0))[1]  # the least (length, stop sort keys), legs summed in route order
 
 
 def _bind_stop(stop: Stop, scenario: Scenario, mapping: tuple[int, ...]) -> Stop:
@@ -264,8 +264,8 @@ def _instantiate_with_mapping(
     groups = [[_bind_stop(s, scenario, mapping) for s in group] for group in template.groups]
     stop_of = {s.sort_key: s for group in groups for s in group}
     xy = {key: scenario.coords[s.kind, s.sid] for key, s in stop_of.items()}
-    # A prefix is (length so far, stop sort keys).  Legs are added in route order from 0.0, as
-    # travel_length adds them, so each length is the float the full search would compute.
+    # A prefix is (length so far, stop sort keys).  Legs are added in route order from 0.0, so each
+    # length is the float that summing the full flattening's legs first to last would compute.
     ends = {None: (0.0, ())}  # the previous group's full states: last stop -> least prefix
     for group in groups:
         keys = [s.sort_key for s in group]

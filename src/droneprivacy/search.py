@@ -12,8 +12,9 @@ Pareto fronts are exact by branch and bound (Land & Doig 1960) on the same
 walk: a prefix is cut when a route already walked is no riskier than the
 prefix's risk bound (the least risk still to come) and waits strictly less
 than its wait bound (a minimum-latency dynamic program over the real stops,
-after Psaraftis 1980).  A counting recurrence adds the routes of every cut
-subtree to the total.
+after Psaraftis 1980).  The walk itself applies both bounds against the front
+it is building.  Every route is either walked or lies under exactly one
+skipped prefix, so a front's route total is the counting recurrence's.
 """
 
 from __future__ import annotations
@@ -70,9 +71,9 @@ class ParetoFront:
 
     ``multiplicity`` counts how many valid routes share a point's objective
     vector; the stored route is the lexicographically smallest of them.
-    ``total_routes`` is the number of valid routes the front covers: the
-    ``routes_walked`` that the walk reached, plus the routes of every cut
-    subtree, which are counted, not walked.  A cut route waits strictly
+    ``total_routes`` is the number of valid routes the front covers, by the
+    counting recurrence; ``routes_walked`` is how many of them the walk
+    reached.  The others lie under skipped prefixes: each waits strictly
     longer than a walked route that is no riskier, so it never ties a point.
     """
 
@@ -153,7 +154,8 @@ def _sequences(
     decoy_budget: int,
     drone: DroneSpec | None = None,
     state: _RouteState | None = None,
-    prune: Callable[..., Callable[..., bool]] | None = None,
+    front: ParetoAccumulator | None = None,
+    average: bool = True,
 ) -> Iterator[tuple[Stop, ...]]:
     """Every valid stop sequence, in ``Route.sort_key`` order, each described in ``state``.
 
@@ -168,12 +170,12 @@ def _sequences(
     payload.  The picked and delivered orders and the used decoys are bit
     masks (an order's bit is ``1 << position``, a decoy's ``1 << rank``).
 
-    ``prune``, if given, is called once with the leg table, the stop layout
-    (``reals`` and ``custs``: (stop index, order position, bit) triples) and
-    the pickup snapshots (``pickup_n`` and ``pickup_d``, per order position,
-    current for the orders aboard).  It returns ``cut``, which is called at
-    every prefix with ``walk``'s own arguments, masks included; a prefix it
-    answers true for is skipped with every route that extends it.
+    With a ``front`` (the incumbent set of the caller, whose risks are risk
+    sums if ``average``, else worst risks), the walk is bounded: it skips a
+    prefix, with every route that extends it, when a route on the front is
+    no riskier than the prefix's risk bound and waits strictly less than its
+    wait bound.  It raises :class:`GuardError` past ``MAX_FRONT_NODES``
+    prefixes.
     """
     n = scenario.n
     order_of_vendor = scenario.order_index_by_vendor
@@ -196,7 +198,14 @@ def _sequences(
     pickup_d = [1] * n
     waits = [0.0] * n
     path: list[Stop] = []
-    cut = None if prune is None else prune(legs, reals, custs, pickup_n, pickup_d)
+    visited = 0  # prefixes, counted on a bounded walk
+    if front is not None:
+        wait_to_go = _wait_to_go(legs, reals, custs, capacity)
+        risk_to_go = _risk_to_go(capacity, decoy_budget)
+        inc_waits, inc_risks = front.waits, front.risks
+        # The bound adds in other orders than the walk's sum(waits) / n (in order position): ``done``
+        # sums the delivered waits in delivery order.  The slack covers both differences.
+        shrink = (1 - 1e-9) / n
 
     def publish(sn, sd, wn, wd):
         if state is not None:
@@ -209,9 +218,37 @@ def _sequences(
     # frozen: the current customer run's payload (0 in a vendor run); sn / sd: risk sum; wn / wd:
     # worst risk; t: clock; done: the delivered orders' waits, summed; last: index of the last stop.
     def walk(picked, dropped, used, aboard, decoys_left, frozen, pn, pd, sn, sd, wn, wd, t, done, last):
-        if cut is not None and cut(picked, dropped, used, aboard, decoys_left, frozen, pn, pd, sn, sd, wn, wd,
-                                   t, done, last):
-            return
+        nonlocal visited
+        if front is not None:
+            visited += 1
+            if visited > MAX_FRONT_NODES:
+                raise GuardError(
+                    f"front walk refused after {visited - 1:,} prefixes (budget {MAX_FRONT_NODES:,}); "
+                    f"{_route_total(n, scenario.n_decoys, capacity, decoy_budget)[1]} routes"
+                )
+            remaining = n - dropped.bit_count()
+            i = bisect_left(inc_waits, (done + remaining * t + wait_to_go(picked, dropped, last)) * shrink)
+            if i:
+                # The least risk among the front's routes that wait less than the wait bound: if it is no
+                # more than the risk bound, every extension waits longer than that route and none can tie it.
+                rn, rd = inc_risks[i - 1].numerator, inc_risks[i - 1].denominator
+                if not average:
+                    if rn * wd <= wn * rd:
+                        return
+                elif rn * sd <= sn * rd:
+                    return
+                else:  # the delivered risk sum alone does not cut; add the least to come
+                    held = picked ^ dropped
+                    ratios = []
+                    for _, pos, bit in reals:
+                        if held & bit:
+                            num, den = pn * pickup_d[pos], pd * pickup_n[pos]
+                            g = math.gcd(num, den)
+                            ratios.append((num // g, den // g))
+                    ratios.sort()
+                    tn, td = risk_to_go(remaining - aboard, tuple(ratios), frozen if aboard else 0, decoys_left)
+                    if rn * sd * td <= (sn * td + tn * sd) * rd:
+                        return
         if dropped == full:
             publish(sn, sd, wn, wd)
             yield tuple(path)
@@ -463,63 +500,14 @@ def pareto_front(
             f"{format_count(states)} states <= {MAX_WAIT_BOUND_STATES:,}, budget <= {MAX_DECOY_BUDGET}); "
             f"{_route_total(n, n_decoys, capacity, decoy_budget)[1]} routes"
         )
-    count = _route_counter(n_decoys, capacity, decoy_budget)
     average = risk_obj == "avg_risk"
 
     # The walked routes' non-dominated (risk, wait) pairs (the risk sum for the average objective), which
-    # the cut reads; they end as the front, since every route that ties a front point is walked.
+    # the walk's bound reads; they end as the front, since every route that ties a front point is walked.
     incumbents = ParetoAccumulator()
-    visited = cut_routes = 0
-
-    def prune(legs, reals, custs, pickup_n, pickup_d):
-        wait_to_go = _wait_to_go(legs, reals, custs, capacity)
-        risk_to_go = _risk_to_go(capacity, decoy_budget)
-        inc_waits, inc_risks = incumbents.waits, incumbents.risks
-        # The bound adds in other orders than the walk's sum(waits) / n (in order position): ``done``
-        # sums the delivered waits in delivery order.  The slack covers both differences.
-        shrink = (1 - 1e-9) / n
-
-        def cut(picked, dropped, used, aboard, decoys_left, frozen, pn, pd, sn, sd, wn, wd, t, done, last):
-            nonlocal visited, cut_routes
-            visited += 1
-            if visited > MAX_FRONT_NODES:
-                raise GuardError(
-                    f"front walk refused after {visited - 1:,} prefixes (budget {MAX_FRONT_NODES:,}); "
-                    f"{_route_total(n, n_decoys, capacity, decoy_budget)[1]} routes"
-                )
-            if not inc_waits:
-                return False
-            remaining = n - dropped.bit_count()
-            i = bisect_left(inc_waits, (done + remaining * t + wait_to_go(picked, dropped, last)) * shrink)
-            if not i:
-                return False
-            # The least risk among the walked routes that wait less than the bound: if it is no more
-            # than the risk bound, every extension waits longer than that route and none can tie it.
-            rn, rd = inc_risks[i - 1].numerator, inc_risks[i - 1].denominator
-            if average:
-                if rn * sd > sn * rd:  # the delivered risk sum alone does not cut; add the least to come
-                    held = picked ^ dropped
-                    ratios = []
-                    for _, pos, bit in reals:
-                        if held & bit:
-                            num, den = pn * pickup_d[pos], pd * pickup_n[pos]
-                            g = math.gcd(num, den)
-                            ratios.append((num // g, den // g))
-                    ratios.sort()
-                    unpicked = remaining - aboard
-                    tn, td = risk_to_go(unpicked, tuple(ratios), frozen if aboard else 0, decoys_left)
-                    if rn * sd * td > (sn * td + tn * sd) * rd:
-                        return False
-            elif rn * wd > wn * rd:
-                return False
-            cut_routes += count(remaining - aboard, aboard, decoys_left)
-            return True
-
-        return cut
-
     state = _RouteState()
     walked = 0
-    for seq in _sequences(scenario, capacity, decoy_budget, drone, state, prune):
+    for seq in _sequences(scenario, capacity, decoy_budget, drone, state, incumbents, average):
         walked += 1
         incumbents.offer(Fraction(*(state.risk_sum if average else state.worst)), state.avg_wait, seq)
 
@@ -528,7 +516,7 @@ def pareto_front(
         for seq, ties in zip(incumbents.seqs, incumbents.counts)
     )
     return ParetoFront(objectives=(risk_obj, wait_obj), points=points,
-                       total_routes=walked + cut_routes, routes_walked=walked)
+                       total_routes=_route_total(n, n_decoys, capacity, decoy_budget)[0], routes_walked=walked)
 
 
 def min_avg_risk_sweep(

@@ -1,12 +1,14 @@
 """Shared test helpers: a random valid-route walker, a route's run segments,
-an independent permutation-filter enumerator used as a counting oracle, and
-the exhaustive Pareto front, risk sweep and template instantiation that the
-pruned front, the memoized sweep and the group-wise DP are checked against.
+an independent permutation-filter enumerator used as a counting oracle, the
+reference leg-length sum, and the exhaustive Pareto front, risk sweep and
+template instantiation that the pruned front, the memoized sweep and the
+group-wise DP are checked against.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from fractions import Fraction
 from operator import attrgetter
@@ -15,7 +17,6 @@ from droneprivacy import (
     DroneSpec, ParetoAccumulator, ParetoFront, ParetoPoint, Route, RouteTemplate, Scenario, Stop,
     abstract_scenario, evaluate,
 )
-from droneprivacy.geometry import travel_length
 from droneprivacy.heuristics import _bind_stop
 from droneprivacy.search import _RouteState, _sequences
 
@@ -140,6 +141,18 @@ def exhaustive_sweep(n_range, c_range, decoy_range) -> dict[tuple[int, int, int]
                 least = min(Fraction(*pair) for peak, pair in best_by_peak.items() if peak <= c)
                 table[(n, c, n_d)] = least / n
     return table
+
+
+def travel_length(stops, scenario: Scenario) -> float:
+    """Total Euclidean length (meters) of the legs between consecutive stops, summed in route order."""
+    xy = scenario.coords
+    total = 0.0
+    px, py = xy[stops[0].kind, stops[0].sid]
+    for stop in stops[1:]:
+        x, y = xy[stop.kind, stop.sid]
+        total += math.hypot(x - px, y - py)
+        px, py = x, y
+    return total
 
 
 def exhaustive_instantiation(template: RouteTemplate, scenario: Scenario, mapping: tuple[int, ...]) -> Route:

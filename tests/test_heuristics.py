@@ -29,9 +29,8 @@ from droneprivacy import (
     validate_route,
     wait_times,
 )
-from droneprivacy.geometry import travel_length
 
-from conftest import exhaustive_instantiation
+from conftest import exhaustive_instantiation, travel_length
 
 TOPOLOGIES = ("uniform", "two_clusters", "linear", "hub_spoke")
 
@@ -324,15 +323,6 @@ def test_oversized_templates_are_refused_before_the_search():
     assert time.perf_counter() - start < 1.0
 
 
-def _travel(route, scenario):
-    """Total leg length of a route, summed first leg to last."""
-    points = [(site.x, site.y) for site in map(scenario.site_for, route.stops)]
-    total = 0.0
-    for (px, py), (x, y) in zip(points, points[1:]):
-        total += math.hypot(x - px, y - py)
-    return total
-
-
 def test_relabeling_can_only_shorten_travel():
     from droneprivacy import generate
 
@@ -342,7 +332,7 @@ def test_relabeling_can_only_shorten_travel():
     identity = instantiate_template(template, scenario, drone)
     relabeled = instantiate_template(template, scenario, drone, relabel=True)
 
-    assert _travel(relabeled, scenario) <= _travel(identity, scenario)
+    assert travel_length(relabeled.stops, scenario) <= travel_length(identity.stops, scenario)
     assert privacy_risks(relabeled, scenario).risks == closed_form_risks(
         HeuristicParams("stuffing", 4, c=2)
     ).risks

@@ -315,15 +315,23 @@ CUT_STRENGTH = [
 
 @pytest.mark.parametrize("topology, n, n_decoys, budget, capacity, objective, prefixes, walked", CUT_STRENGTH)
 def test_the_cut_is_no_weaker(monkeypatch, topology, n, n_decoys, budget, capacity, objective, prefixes, walked):
-    """A front visits no more prefixes (the guard would refuse) and walks no more routes than these counts."""
-    monkeypatch.setattr(search, "MAX_FRONT_NODES", prefixes)
+    """A front visits exactly these prefixes (the guard refuses one fewer) and walks exactly these routes.
+
+    ``total_routes`` is the counting recurrence's total, not a sum over the walk, so these pins are
+    what fixes the walk's coverage: a walk that skipped a subtree it should enter changes them.
+    """
     scenario = generate(topology, n, n_decoys=n_decoys, seed=0)
+    monkeypatch.setattr(search, "MAX_FRONT_NODES", prefixes - 1)
+    with pytest.raises(GuardError, match=f"after {prefixes - 1:,} prefixes"):
+        pareto_front(scenario, DroneSpec(capacity), (objective, "avg_wait"), budget)
+    monkeypatch.setattr(search, "MAX_FRONT_NODES", prefixes)
     front = pareto_front(scenario, DroneSpec(capacity), (objective, "avg_wait"), budget)
-    assert front.routes_walked <= walked
+    assert front.routes_walked == walked
 
 
 def test_route_counter_matches_enumeration():
-    """The recurrence that counts cut subtrees counts every route the walker yields."""
+    """The counting recurrence behind the guards and ``ParetoFront.total_routes`` counts every route the
+    walker yields."""
     for n in range(1, 5):
         for n_decoys in range(3):
             scenario = abstract_scenario(n, n_decoys=n_decoys)

@@ -135,14 +135,16 @@ def _drone_for(args, scenario_file: ScenarioFile) -> DroneSpec:
     return _motion_flags(args, DroneSpec(args.capacity, motion.speed, motion.stop_duration))
 
 
-def _print_risks_and_waits(evaluation) -> None:
-    for cid, risk in zip(evaluation.customer_ids, evaluation.risks):
-        print(f"risk a{cid} = {format_fraction(risk)} ({float(risk):.6g})")
-    print(f"avg_risk = {format_fraction(evaluation.avg_risk)} ({float(evaluation.avg_risk):.6g})")
-    print(f"worst_risk = {format_fraction(evaluation.worst_risk)} ({float(evaluation.worst_risk):.6g})")
-    for cid, wait in zip(evaluation.customer_ids, evaluation.waits):
-        print(f"wait a{cid} = {wait:.3f} s")
-    print(f"avg_wait = {evaluation.avg_wait:.3f} s")
+def _risk_and_wait_lines(evaluation) -> list[str]:
+    """An evaluation's output lines.  A command builds all its text before printing any of it, so a
+    risk too long to format (Python's int-to-str digit limit) leaves stdout empty."""
+    lines = [f"risk a{cid} = {format_fraction(risk)} ({float(risk):.6g})"
+             for cid, risk in zip(evaluation.customer_ids, evaluation.risks)]
+    lines.append(f"avg_risk = {format_fraction(evaluation.avg_risk)} ({float(evaluation.avg_risk):.6g})")
+    lines.append(f"worst_risk = {format_fraction(evaluation.worst_risk)} ({float(evaluation.worst_risk):.6g})")
+    lines += [f"wait a{cid} = {wait:.3f} s" for cid, wait in zip(evaluation.customer_ids, evaluation.waits)]
+    lines.append(f"avg_wait = {evaluation.avg_wait:.3f} s")
+    return lines
 
 
 def cmd_gen(args) -> int:
@@ -165,9 +167,9 @@ def cmd_eval(args) -> int:
     sf = load_scenario(args.scenario)
     route = parse_route(args.route)
     evaluation = evaluate(route, sf.scenario, _drone_for(args, sf))
-    print(f"scenario: {sf.name} (n={sf.scenario.n}, decoys={sf.scenario.n_decoys})")
-    print(f"route: {route.tokens}")
-    _print_risks_and_waits(evaluation)
+    lines = [f"scenario: {sf.name} (n={sf.scenario.n}, decoys={sf.scenario.n_decoys})",
+             f"route: {route.tokens}"]
+    print("\n".join(lines + _risk_and_wait_lines(evaluation)))
     return EXIT_OK
 
 
@@ -190,10 +192,9 @@ def cmd_heuristic(args) -> int:
     drone = _drone_for(args, sf)
     route = instantiate_template(template, sf.scenario, drone)
     evaluation = evaluate(route, sf.scenario, drone, tag=params.label)
-    print(f"heuristic: {params.label} (required capacity {params.required_capacity})")
-    print(f"route: {route.tokens}")
-    print("ordering: exact minimum travel")
-    _print_risks_and_waits(evaluation)
+    lines = [f"heuristic: {params.label} (required capacity {params.required_capacity})",
+             f"route: {route.tokens}", "ordering: exact minimum travel"]
+    print("\n".join(lines + _risk_and_wait_lines(evaluation)))
     return EXIT_OK
 
 

@@ -130,6 +130,8 @@ def generate(
       and ``ring_outer`` (defaults ``0.3`` / ``0.45 * extent``).
     * ``linear``: ``corridor_width`` (default ``0.02 * extent``); sites hug a
       horizontal axis with alternating side offsets.
+
+    Raises ``ValueError`` when a coordinate would overflow to infinity.
     """
     if n < 1:
         raise ValueError("n must be at least 1")
@@ -162,7 +164,10 @@ def generate(
             raise ValueError("need 0 < hub_radius <= ring_inner < ring_outer")
         center = (extent_m / 2, extent_m / 2)
         vendor_xy = [_disc_point(rng, center, hub_radius) for _ in range(n + n_decoys)]
-        customer_xy = [_annulus_point(rng, center, ring_inner, ring_outer) for _ in range(n)]
+        try:
+            customer_xy = [_annulus_point(rng, center, ring_inner, ring_outer) for _ in range(n)]
+        except OverflowError:  # from squaring a ring radius
+            raise ValueError(f"ring_outer {ring_outer:g} is too large to square") from None
     elif topology == "linear":
         corridor = float(params.pop("corridor_width", 0.02 * extent_m))
         if corridor <= 0:
@@ -180,6 +185,8 @@ def generate(
         raise ValueError(f"unknown topology {topology!r}")
     if params:
         raise ValueError(f"unknown parameters for topology {topology}: {sorted(params)}")
+    if not all(map(math.isfinite, chain(*vendor_xy, *customer_xy))):
+        raise ValueError("the map's coordinates overflow to infinity: its extent or spacing is too large")
 
     vendors = [VendorSite(i + 1, *vendor_xy[i]) for i in range(n)]
     vendors += [VendorSite(i + 1, *vendor_xy[n + i], decoy=True) for i in range(n_decoys)]

@@ -3,10 +3,11 @@
 Enumeration is a depth-first walk over lexicographic stop choices (real
 vendors by id, then decoys, then customers), so the route stream is
 deterministic and free of duplicates.  The walk carries each prefix's risk
-and clock state, so fronts and sweeps never rescan a route.  Risk objectives
-are exact rationals; wait objectives are floats computed in a fixed order, so
-fronts are bit-reproducible.  A front keeps each point's smallest route and
-its exact tie count, so it does not depend on the order routes are offered in.
+and clock state and yields each route with its objectives, so a front never
+rescans a route.  Risk objectives are exact rationals; wait objectives are
+floats computed in a fixed order, so fronts are bit-reproducible.  A front
+keeps each point's smallest route and its exact tie count, so it does not
+depend on the order routes are offered in.
 
 Pareto fronts are exact by branch and bound (Land & Doig 1960) on the same
 walk: a prefix is cut when a route already walked is no riskier than the
@@ -131,21 +132,8 @@ def enumerate_routes(scenario: Scenario, drone: DroneSpec, decoy_budget: int = 0
     stops included).
     """
     _check_guards(scenario.n, scenario.n_decoys, drone.capacity, decoy_budget)
-    for seq in _sequences(scenario, drone.capacity, decoy_budget):
+    for seq, _, _, _ in _sequences(scenario, drone.capacity, decoy_budget):
         yield Route(seq)
-
-
-class _RouteState:
-    """What :func:`_sequences` knows about the route it last yielded.
-
-    ``risk_sum`` (the sum of the per-order risks) and ``worst`` (the largest
-    of them) are exact and reduced ``(numerator, denominator)`` pairs, so
-    equal values have equal pairs.  ``avg_wait`` is set only on a walk given a
-    drone to time it; it is bit-identical to
-    :func:`~droneprivacy.geometry.wait_times`' average.
-    """
-
-    __slots__ = ("risk_sum", "worst", "avg_wait")
 
 
 def _sequences(
@@ -153,11 +141,16 @@ def _sequences(
     capacity: int,
     decoy_budget: int,
     drone: DroneSpec | None = None,
-    state: _RouteState | None = None,
     front: ParetoAccumulator | None = None,
     average: bool = True,
-) -> Iterator[tuple[Stop, ...]]:
-    """Every valid stop sequence, in ``Route.sort_key`` order, each described in ``state``.
+) -> Iterator[tuple[tuple[Stop, ...], tuple[int, int], tuple[int, int], float]]:
+    """Every valid route as ``(stops, risk_sum, worst, avg_wait)``, in ``Route.sort_key`` order.
+
+    ``risk_sum`` (the sum of the per-order risks) and ``worst`` (the largest
+    of them) are exact and reduced ``(numerator, denominator)`` pairs, so
+    equal values have equal pairs.  ``avg_wait`` is bit-identical to
+    :func:`~droneprivacy.geometry.wait_times`' average at the drone's speed
+    and stop time, and 0.0 without a drone.
 
     The walk extends a prefix one stop at a time (real vendors by id, then
     decoys by id, then customers by id) and carries the prefix's risk and
@@ -207,13 +200,6 @@ def _sequences(
         # sums the delivered waits in delivery order.  The slack covers both differences.
         shrink = (1 - 1e-9) / n
 
-    def publish(sn, sd, wn, wd):
-        if state is not None:
-            state.risk_sum = (sn, sd)
-            state.worst = (wn, wd)
-            if drone is not None:
-                state.avg_wait = sum(waits) / n
-
     # picked / dropped / used: masks of the picked and delivered orders and the used decoys;
     # frozen: the current customer run's payload (0 in a vendor run); sn / sd: risk sum; wn / wd:
     # worst risk; t: clock; done: the delivered orders' waits, summed; last: index of the last stop.
@@ -250,8 +236,7 @@ def _sequences(
                     if rn * sd * td <= (sn * td + tn * sd) * rd:
                         return
         if dropped == full:
-            publish(sn, sd, wn, wd)
-            yield tuple(path)
+            yield tuple(path), (sn, sd), (wn, wd), sum(waits) / n
         row = legs[last]
         vpn, vpd = pn, pd  # the survivor product after a vendor or decoy stop
         if frozen and aboard:
@@ -293,8 +278,7 @@ def _sequences(
                 path.append(stops[k])
                 if dropped | bit == full and not decoys_left:
                     # The last delivery, and no decoy left to append: the route is complete.
-                    publish(nsn // g, nsd // g, nwn, nwd)
-                    yield tuple(path)
+                    yield tuple(path), (nsn // g, nsd // g), (nwn, nwd), sum(waits) / n
                 else:
                     yield from walk(picked, dropped | bit, used, aboard - 1, decoys_left, payload, pn, pd,
                                     nsn // g, nsd // g, nwn, nwd, wait, done + wait, k)
@@ -505,11 +489,10 @@ def pareto_front(
     # The walked routes' non-dominated (risk, wait) pairs (the risk sum for the average objective), which
     # the walk's bound reads; they end as the front, since every route that ties a front point is walked.
     incumbents = ParetoAccumulator()
-    state = _RouteState()
     walked = 0
-    for seq in _sequences(scenario, capacity, decoy_budget, drone, state, incumbents, average):
+    for seq, risk_sum, worst, wait in _sequences(scenario, capacity, decoy_budget, drone, incumbents, average):
         walked += 1
-        incumbents.offer(Fraction(*(state.risk_sum if average else state.worst)), state.avg_wait, seq)
+        incumbents.offer(Fraction(*(risk_sum if average else worst)), wait, seq)
 
     points = tuple(
         ParetoPoint(evaluation=evaluate(Route(seq), scenario, drone, check=False), multiplicity=ties)

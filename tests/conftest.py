@@ -18,7 +18,7 @@ from droneprivacy import (
     abstract_scenario, evaluate,
 )
 from droneprivacy.heuristics import _bind_stop
-from droneprivacy.search import _RouteState, _sequences
+from droneprivacy.search import _sequences
 
 
 def random_valid_route(
@@ -112,11 +112,10 @@ def exhaustive_front(
     (the pruned walk's oracle)."""
     average = objectives[0] == "avg_risk"
     front = ParetoAccumulator()
-    state = _RouteState()
     total = 0
-    for seq in _sequences(scenario, drone.capacity, decoy_budget, drone, state):
+    for seq, risk_sum, worst, wait in _sequences(scenario, drone.capacity, decoy_budget, drone):
         total += 1
-        front.offer(Fraction(*(state.risk_sum if average else state.worst)), state.avg_wait, seq)
+        front.offer(Fraction(*(risk_sum if average else worst)), wait, seq)
     points = tuple(
         ParetoPoint(evaluation=evaluate(Route(seq), scenario, drone, check=False), multiplicity=ties)
         for seq, ties in zip(front.seqs, front.counts)
@@ -131,9 +130,8 @@ def exhaustive_sweep(n_range, c_range, decoy_range) -> dict[tuple[int, int, int]
     for n in n_range:
         for n_d in decoy_range:
             best_by_peak: dict[int, tuple[int, int]] = {}  # the least risk sum, a reduced pair
-            state = _RouteState()
-            for seq in _sequences(abstract_scenario(n, n_d), min(max(c_range), n), n_d, state=state):
-                peak, (nu, de) = max_load(seq), state.risk_sum
+            for seq, (nu, de), _, _ in _sequences(abstract_scenario(n, n_d), min(max(c_range), n), n_d):
+                peak = max_load(seq)
                 best = best_by_peak.get(peak)
                 if best is None or nu * best[1] < best[0] * de:
                     best_by_peak[peak] = (nu, de)

@@ -3,6 +3,8 @@
 import csv
 import io as io_module
 import json
+import os
+import sys
 from fractions import Fraction as F
 
 import pytest
@@ -25,6 +27,7 @@ from droneprivacy import (
     min_avg_risk_sweep,
 )
 from droneprivacy.cli import main
+from droneprivacy.heuristics import stuffing_template
 
 
 def test_fraction_round_trip():
@@ -98,13 +101,38 @@ def test_cli_gen_refuses_a_negative_seed_or_an_unbounded_map(tmp_path, capsys):
     assert "expected non-negative integer" in capsys.readouterr().err
     assert main(["gen", "--topology", "uniform", "--n", "3", "--extent", "inf", "--out", path]) == 3
     assert main(["gen", "--topology", "hub_spoke", "--n", "3", "--ring-outer", "inf", "--out", path]) == 3
+    # Finite but extreme: a ring radius whose square overflows, and sites that would lie at infinity.
+    for flags in (["--topology", "hub_spoke", "--n", "3", "--ring-inner", "2e154", "--ring-outer", "3e154"],
+                  ["--topology", "two_clusters", "--n", "3", "--separation", "1.79e308",
+                   "--cluster-radius", "8e307"],
+                  ["--topology", "linear", "--n", "4", "--extent", "1e308", "--corridor-width", "1.7e308"]):
+        assert main(["gen", *flags, "--out", path]) == 3
+        assert "error: " in capsys.readouterr().err
+        assert not os.path.exists(path)
+
+
+def test_cli_eval_prints_nothing_when_a_risk_is_too_long_to_print(tmp_path, capsys):
+    """Stuffing with 300 aboard on 600 orders gives risks past 640 digits: under that int-to-str limit
+    eval exits 3 with an error line and writes nothing to stdout, not the lines before the failure."""
+    path = str(tmp_path / "n600.json")
+    assert main(["gen", "--topology", "uniform", "--n", "600", "--seed", "0", "--out", path]) == 0
+    capsys.readouterr()
+    route = stuffing_template(600, 300).flatten().tokens
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        code = main(["eval", "--scenario", path, "--route", route, "--capacity", "300"])
+    finally:
+        sys.set_int_max_str_digits(limit)
+    out, err = capsys.readouterr()
+    assert code == 3
+    assert out == ""
+    assert err.startswith("error: Exceeds the limit (640 digits)")
 
 
 def test_cli_import_leaves_numpy_out():
     """The package draws its maps without numpy, so starting the CLI does not load it."""
-    import os
     import subprocess
-    import sys
     from pathlib import Path
 
     import droneprivacy

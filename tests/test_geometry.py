@@ -226,6 +226,13 @@ def test_generate_refuses_bad_seeds_and_unbounded_ranges():
         generate("uniform", 3, extent_m=math.inf)
     with pytest.raises(ValueError, match="cannot draw uniformly"):
         generate("hub_spoke", 3, ring_outer=math.inf)
+    # Finite parameters whose square or whose sites pass the largest float: refused, not drawn as infinity.
+    with pytest.raises(ValueError, match="ring_outer 3e\\+154 is too large to square"):
+        generate("hub_spoke", 3, ring_inner=2e154, ring_outer=3e154)
+    with pytest.raises(ValueError, match="overflow to infinity"):
+        generate("two_clusters", 3, separation=1.79e308, cluster_radius=8e307)
+    with pytest.raises(ValueError, match="overflow to infinity"):
+        generate("linear", 4, extent_m=1e308, corridor_width=1.7e308)
 
 
 def test_motion_model_bounds():

@@ -28,7 +28,7 @@ from droneprivacy import (
 )
 from droneprivacy import search
 from droneprivacy.errors import factorial_count, format_count
-from droneprivacy.search import _RouteState, _route_counter, _sequences
+from droneprivacy.search import _route_counter, _sequences
 from conftest import brute_force_routes, exhaustive_front, exhaustive_sweep, max_load
 
 TOPOLOGIES = ("uniform", "two_clusters", "hub_spoke", "linear")
@@ -380,21 +380,14 @@ def test_guard_counts_print_exactly_up_to_64_bits():
     assert math.factorial(20).bit_length() <= 64 < factorial_count(10**6).bit_length()
 
 
-def _walk(scenario, capacity, budget, motion):
-    """Every route the walker yields, with the state it carries for it."""
-    state = _RouteState()
-    for seq in _sequences(scenario, capacity, budget, motion, state):
-        yield seq, (state.risk_sum, state.worst, state.avg_wait)
-
-
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_walker_state_and_sweep_match_the_per_route_path(n):
-    """At every route, the state the walker carries equals a rescan by the public per-route functions.
+    """At every route, the objectives the walker yields equal a rescan by the public per-route functions.
 
     Risks must equal privacy_risks' Fractions, waits must be bit-equal to wait_times' average (which
     is evaluate's avg_wait).  The full walk (capacity n, budget 2) is checked route by route on the
     tie-heavy grid and on a generated map.  On the generated map, every smaller capacity and budget
-    must then yield the states of exactly the full walk's routes that fit it (by their peak load),
+    must then yield the objectives of exactly the full walk's routes that fit it (by their peak load),
     in the same order (which routes those are is checked by the enumeration tests above).  The same
     per-route risks give the brute-force minima that every min_avg_risk_sweep cell (n, c <= 4,
     d <= 2) must equal: the routes of abstract_scenario(n, d) are the grid's routes whose decoy ids
@@ -402,21 +395,21 @@ def test_walker_state_and_sweep_match_the_per_route_path(n):
     """
     motion = MotionModel()
     grid, spread = abstract_scenario(n, n_decoys=2), generate("uniform", n, n_decoys=2, seed=n)
-    fingerprints = array("q")  # hash of the state on the generated map, in full-walk order
+    fingerprints = array("q")  # hash of the objectives on the generated map, in full-walk order
     fits = []  # (peak, decoys used) per route of the full walk
     least: dict[tuple[int, int], F] = {}  # (peak, largest decoy id used) -> least average risk
-    full_walks = zip_longest(_walk(grid, n, 2, motion), _walk(spread, n, 2, motion))
-    for (seq, on_grid), (other, on_spread) in full_walks:
-        assert seq == other
+    full_walks = zip_longest(_sequences(grid, n, 2, motion), _sequences(spread, n, 2, motion))
+    for on_grid, on_spread in full_walks:
+        seq, (sum_nu, sum_de), (worst_nu, worst_de), wait = on_grid
+        assert seq == on_spread[0]
         route = Route(seq)
         report = privacy_risks(route, grid, check=False)
-        (sum_nu, sum_de), (worst_nu, worst_de), wait = on_grid
         assert F(sum_nu, sum_de * n) == report.average
         assert F(worst_nu, worst_de) == report.worst_case
         assert wait.hex() == wait_times(route, grid, motion, check=False).average.hex()
-        assert on_spread[:2] == on_grid[:2]
-        assert on_spread[2].hex() == wait_times(route, spread, motion, check=False).average.hex()
-        fingerprints.append(hash(on_spread))
+        assert on_spread[1:3] == on_grid[1:3]
+        assert on_spread[3].hex() == wait_times(route, spread, motion, check=False).average.hex()
+        fingerprints.append(hash(on_spread[1:]))
         decoy_ids = [stop.sid for stop in seq if stop.kind == "d"]
         peak = max_load(seq)
         fits.append((peak, len(decoy_ids)))
@@ -429,7 +422,7 @@ def test_walker_state_and_sweep_match_the_per_route_path(n):
             expected = [
                 h for h, (peak, used) in zip(fingerprints, fits) if peak <= capacity and used <= budget
             ]
-            got = [hash(state) for _, state in _walk(spread, capacity, budget, motion)]
+            got = [hash(walked[1:]) for walked in _sequences(spread, capacity, budget, motion)]
             assert got == expected, (capacity, budget)
 
     table = min_avg_risk_sweep([n], range(1, 5), range(3))
@@ -443,9 +436,8 @@ def test_walker_state_matches_the_per_route_path_on_every_n5_route():
     scenario = generate("uniform", 5, seed=11)
     drone = DroneSpec(capacity=3)
     count = 0
-    for seq, state in _walk(scenario, 3, 0, MotionModel()):
+    for seq, (sum_nu, sum_de), (worst_nu, worst_de), wait in _sequences(scenario, 3, 0, MotionModel()):
         e = evaluate(Route(seq), scenario, drone, check=False)
-        (sum_nu, sum_de), (worst_nu, worst_de), wait = state
         assert F(sum_nu, sum_de * 5) == e.avg_risk
         assert F(worst_nu, worst_de) == e.worst_risk
         assert wait.hex() == e.avg_wait.hex()

@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass
-from itertools import chain, permutations, product
+from itertools import chain, combinations, permutations, product
 from typing import Literal, Sequence
 
 from .model import CustomerSite, DroneSpec, MotionModel, Route, Scenario, Stop, VendorSite, require_valid
@@ -131,7 +131,8 @@ def generate(
     * ``linear``: ``corridor_width`` (default ``0.02 * extent``); sites hug a
       horizontal axis with alternating side offsets.
 
-    Raises ``ValueError`` when a coordinate would overflow to infinity.
+    Raises ``ValueError`` when a coordinate, or the distance between two
+    sites, would overflow to infinity: no leg of such a map can be timed.
     """
     if n < 1:
         raise ValueError("n must be at least 1")
@@ -187,11 +188,23 @@ def generate(
         raise ValueError(f"unknown parameters for topology {topology}: {sorted(params)}")
     if not all(map(math.isfinite, chain(*vendor_xy, *customer_xy))):
         raise ValueError("the map's coordinates overflow to infinity: its extent or spacing is too large")
+    if _longest_distance_overflows(vendor_xy + customer_xy):
+        raise ValueError("a distance between the map's sites overflows to infinity: its spacing is too large")
 
     vendors = [VendorSite(i + 1, *vendor_xy[i]) for i in range(n)]
     vendors += [VendorSite(i + 1, *vendor_xy[n + i], decoy=True) for i in range(n_decoys)]
     customers = [CustomerSite(i + 1, *customer_xy[i], vendor_id=i + 1) for i in range(n)]
     return Scenario(vendors=tuple(vendors), customers=tuple(customers))
+
+
+def _longest_distance_overflows(points: list[tuple[float, float]]) -> bool:
+    """Whether ``math.hypot`` between two of the points is infinite.  The bounding box's diagonal is
+    checked first, in O(n); only when it overflows are the pairs compared, since a box can overflow
+    while every pair stays finite."""
+    xs, ys = [x for x, _ in points], [y for _, y in points]
+    if math.isfinite(math.hypot(max(xs) - min(xs), max(ys) - min(ys))):
+        return False
+    return not all(math.isfinite(math.hypot(x - px, y - py)) for (px, py), (x, y) in combinations(points, 2))
 
 
 _MASK32, _MASK64, _MASK128 = 2**32 - 1, 2**64 - 1, 2**128 - 1

@@ -1,4 +1,4 @@
-"""Brute-force third-party observer model.
+"""Third-party observer model.
 
 Instead of the run-based recurrence in :mod:`droneprivacy.risk`, this module
 replays the route stop by stop from the observer's point of view and branches
@@ -8,8 +8,10 @@ decoy stops) may be the one handed over, each with probability
 posterior probability that customer ``a_i`` received vendor ``v_j``'s item is
 the total probability of the worlds saying so.
 
-This is intentionally exponential and serves as the independent correctness
-oracle for the fast risk computation.
+Only :func:`enumerate_worlds` is exponential: it walks every branch and is the
+brute-force reference.  :func:`posterior_matrix` counts the worlds behind each
+cell in closed form.  Neither uses the run reasoning of the fast risk
+computation, so both serve as its independent correctness oracle.
 """
 
 from __future__ import annotations
@@ -23,7 +25,9 @@ from .errors import EXACT_COUNT_BITS, GuardError, format_count
 from .model import Route, Scenario, Stop, require_valid
 
 MAX_OBSERVED_ITEMS = 10
-"""Observer walks are refused past ``MAX_OBSERVED_ITEMS!`` branches, a fully aggregated route's count."""
+"""Both observer functions refuse a route with more than ``MAX_OBSERVED_ITEMS!`` branches, a fully
+aggregated route's count: it bounds :func:`enumerate_worlds`' walk, and the size of the denominator D
+that :func:`posterior_matrix` counts over."""
 
 
 @dataclass(frozen=True)
@@ -60,7 +64,7 @@ class PosteriorMatrix:
 
 def _drop_sizes(route: Route) -> list[int]:
     """The payload size at each drop, phantoms included; refused when their product, the
-    branch count D, passes ``MAX_OBSERVED_ITEMS!``, so before any walk."""
+    branch count D, passes ``MAX_OBSERVED_ITEMS!``, so before any walk or count."""
     sizes: list[int] = []
     aboard = 0
     worlds = 1  # D, which stops growing past EXACT_COUNT_BITS: refused either way
@@ -126,15 +130,16 @@ def enumerate_worlds(route: Route, scenario: Scenario, *, check: bool = True) ->
 
 
 def posterior_matrix(route: Route, scenario: Scenario, *, check: bool = True) -> PosteriorMatrix:
-    """Marginalize the observer worlds into per-order vendor distributions.
+    """Marginalize the observer worlds into per-order vendor distributions, by counting them.
 
-    One walk over every branch, every item aboard (phantoms included) at
-    every drop, as :func:`enumerate_worlds` makes them, but with integer
-    weights: every complete branch has probability ``1 / D`` (see there), so
-    choosing an item at a drop stands for the complete branches below it,
-    the product of the later drops' payload sizes.  The walk adds that weight
-    to the cell (drop's order, item's column) and divides each cell by D once
-    at the end.
+    Every world has probability ``1 / D`` (see :func:`enumerate_worlds`), so a cell is the number
+    of worlds in which the drop hands over the item, over D.  A world places one non-attacking rook
+    per drop (row) on an item picked up before it (column), phantoms included; the rows are nested,
+    so the board is a Ferrers board and fixing one rook leaves another (Goldman, Joichi & White
+    1975, *Rook theory I*).  With ``s_k`` the payload size at drop k and f the first drop after an
+    item's pickup, drop k hands that item over in ``(prod_{j<f} s_j) * (prod_{f<=j<k} (s_j - 1))
+    * (prod_{j>k} s_j)`` worlds: the drops before the pickup choose freely, those in between choose
+    another item, and the later drops choose freely among what is left.  No branch is walked.
     """
     if check:
         require_valid(route, scenario)
@@ -145,41 +150,26 @@ def posterior_matrix(route: Route, scenario: Scenario, *, check: bool = True) ->
     order_of_customer = scenario.order_index
     cells = [[0] * len(columns) for _ in range(scenario.n)]
 
-    # Per drop: the columns picked up since the previous drop and the drop's row of cells.
-    loads: list[tuple[int, ...]] = []
-    rows: list[list[int]] = []
-    picked: list[int] = []
+    rows: list[list[int]] = []  # each drop's row of cells
+    pickups: list[tuple[int, int]] = []  # (column, first drop after the pickup)
     for stop in route.stops:
         if stop.is_vendor:
-            picked.append(col_index[stop])
-            continue
-        loads.append(tuple(picked))
-        picked.clear()
-        rows.append(cells[order_of_customer[stop.sid]])
-    weights = [0] * len(sizes)
-    worlds = 1
-    for k in reversed(range(len(sizes))):
-        weights[k] = worlds
-        worlds *= sizes[k]
-    last = len(sizes) - 1
-
-    def walk(k: int, payload: tuple[int, ...]) -> None:
-        while True:  # through forced drops (one item aboard); recurse only where the walk branches
-            payload += loads[k]
-            row, weight = rows[k], weights[k]
-            for col in payload:
-                row[col] += weight
-            if k == last:
-                return
-            k += 1
-            if len(payload) != 1:
+            pickups.append((col_index[stop], len(rows)))
+        else:
+            rows.append(cells[order_of_customer[stop.sid]])
+    m = len(sizes)
+    before, after = [1] * (m + 1), [1] * (m + 1)  # products of the sizes before drop k / from drop k on
+    for k in range(m):
+        before[k + 1] = before[k] * sizes[k]
+        after[m - 1 - k] = after[m - k] * sizes[m - 1 - k]
+    worlds = before[m]
+    for col, first in pickups:
+        run = before[first]
+        for k in range(first, m):
+            if not run:  # the item is handed over for sure by now, or no world exists
                 break
-            payload = ()
-        for j in range(len(payload)):
-            walk(k, payload[:j] + payload[j + 1:])
-
-    if sizes:
-        walk(0, ())
+            rows[k][col] += run * after[k + 1]
+            run *= sizes[k] - 1
     denominator = worlds or 1  # no complete branch (an unchecked route): every cell stays 0
     return PosteriorMatrix(
         customer_ids=tuple(c.id for c in scenario.customers),

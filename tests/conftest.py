@@ -1,8 +1,9 @@
 """Shared test helpers: a random valid-route walker, a route's run segments,
 an independent permutation-filter enumerator used as a counting oracle, the
-reference leg-length sum, and the exhaustive Pareto front, risk sweep and
-template instantiation that the pruned front, the memoized sweep and the
-group-wise DP are checked against.
+reference leg-length sum, the posterior summed over brute-force observer
+worlds, and the exhaustive Pareto front, risk sweep and template
+instantiation that the counted posterior, the pruned front, the memoized
+sweep and the group-wise DP are checked against.
 """
 
 from __future__ import annotations
@@ -103,6 +104,19 @@ def brute_force_routes(scenario: Scenario, capacity: int, decoy_budget: int = 0)
                 if _filter_is_valid(perm, scenario, capacity):
                     found.add(perm)
     return found
+
+
+def posterior_by_summing_worlds(worlds, scenario: Scenario):
+    """Reference marginalization: add each world's Fraction to the cells its assignment names
+    (the counted posterior's oracle).  Returns the columns and the rows."""
+    columns = [Stop("v", vendor.id) for vendor, _ in scenario.orders]
+    columns += [Stop("d", d.id) for d in sorted(scenario.decoy_vendors, key=lambda v: v.id)]
+    column_of = {stop: j for j, stop in enumerate(columns)}
+    cells = [[Fraction(0)] * len(columns) for _ in range(scenario.n)]
+    for world in worlds:
+        for customer_id, item in world.assignment:
+            cells[scenario.order_index[customer_id]][column_of[item]] += world.probability
+    return tuple(columns), tuple(tuple(row) for row in cells)
 
 
 def exhaustive_front(

@@ -53,7 +53,7 @@ from droneprivacy.fixtures import (
     worked_example_scenario,
 )
 from droneprivacy.search import _sequences
-from conftest import brute_force_routes, random_valid_route, run_segments
+from conftest import brute_force_routes, posterior_by_summing_worlds, random_valid_route, run_segments
 
 
 def report(num: int, name: str, ok: bool, detail: str = "") -> None:
@@ -131,8 +131,15 @@ def test_criterion_03_oracle_equivalence_exhaustive():
                 if cached is None:
                     canon_route = Route(tuple(Stop(kind, rank + 1) for kind, rank in key))
                     engine = privacy_risks(canon_route, canon, check=False).risks
-                    oracle = risks_from_posterior(posterior_matrix(canon_route, canon, check=False))
+                    posterior = posterior_matrix(canon_route, canon, check=False)
+                    oracle = risks_from_posterior(posterior)
                     assert engine == oracle, f"engine/oracle mismatch on {canon_route.tokens}"
+                    # the counted posterior against the brute-force world walk, full rows
+                    worlds = enumerate_worlds(canon_route, canon, check=False)
+                    assert (posterior.vendor_stops, posterior.rows) == posterior_by_summing_worlds(
+                        worlds, canon
+                    ), f"posterior/world-sum mismatch on {canon_route.tokens}"
+                    assert posterior.worlds == len(worlds), canon_route.tokens
                     class_risks[key] = engine
                     cached = engine
                 mine = privacy_risks(Route(seq), scenario, check=False).risks

@@ -101,11 +101,14 @@ def test_cli_gen_refuses_a_negative_seed_or_an_unbounded_map(tmp_path, capsys):
     assert "expected non-negative integer" in capsys.readouterr().err
     assert main(["gen", "--topology", "uniform", "--n", "3", "--extent", "inf", "--out", path]) == 3
     assert main(["gen", "--topology", "hub_spoke", "--n", "3", "--ring-outer", "inf", "--out", path]) == 3
-    # Finite but extreme: a ring radius whose square overflows, and sites that would lie at infinity.
+    # Finite but extreme: a ring radius whose square overflows, sites that would lie at infinity, and
+    # finite sites too far apart for a leg between them to be timed.
     for flags in (["--topology", "hub_spoke", "--n", "3", "--ring-inner", "2e154", "--ring-outer", "3e154"],
                   ["--topology", "two_clusters", "--n", "3", "--separation", "1.79e308",
                    "--cluster-radius", "8e307"],
-                  ["--topology", "linear", "--n", "4", "--extent", "1e308", "--corridor-width", "1.7e308"]):
+                  ["--topology", "linear", "--n", "4", "--extent", "1e308", "--corridor-width", "1.7e308"],
+                  ["--topology", "two_clusters", "--n", "2", "--separation", "1.7e308",
+                   "--cluster-radius", "1e307"]):
         assert main(["gen", *flags, "--out", path]) == 3
         assert "error: " in capsys.readouterr().err
         assert not os.path.exists(path)

@@ -233,6 +233,18 @@ def test_generate_refuses_bad_seeds_and_unbounded_ranges():
         generate("two_clusters", 3, separation=1.79e308, cluster_radius=8e307)
     with pytest.raises(ValueError, match="overflow to infinity"):
         generate("linear", 4, extent_m=1e308, corridor_width=1.7e308)
+    # Finite sites whose x-spread passes the largest float: no leg between the clusters can be timed.
+    with pytest.raises(ValueError, match="distance between the map's sites overflows"):
+        generate("two_clusters", 2, separation=1.7e308, cluster_radius=1e307)
+
+
+def test_distance_overflow_is_judged_on_pairs_not_on_the_bounding_box():
+    """Four sites on the axes at +-7.5e307: the box's diagonal overflows, every pair's distance does not."""
+    diamond = [(-7.5e307, 0.0), (7.5e307, 0.0), (0.0, -7.5e307), (0.0, 7.5e307)]
+    assert math.hypot(1.5e308, 1.5e308) == math.inf
+    assert not geometry._longest_distance_overflows(diamond)
+    assert geometry._longest_distance_overflows(diamond + [(-1e308, 0.0), (1e308, 0.0)])
+    assert not geometry._longest_distance_overflows([(0.0, 0.0), (3.0, 4.0)])
 
 
 def test_motion_model_bounds():

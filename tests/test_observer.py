@@ -1,5 +1,6 @@
 """Observer oracle: world enumeration and posterior marginals."""
 
+import math
 import random
 from fractions import Fraction as F
 
@@ -22,6 +23,7 @@ from droneprivacy import (
     privacy_risks,
     risks_from_posterior,
 )
+from conftest import posterior_by_summing_worlds
 
 
 def drop_payload_sizes(route, scenario):
@@ -79,11 +81,25 @@ def test_two_aggregated_orders_split_into_two_worlds():
     assert all(w.probability == F(1, 2) for w in worlds)
 
 
-def test_fully_aggregated_three_orders_are_uniform():
-    scenario = abstract_scenario(3)
-    posterior = posterior_matrix(parse_route("v1,v2,v3,a1,a2,a3"), scenario)
-    assert posterior.rows == ((F(1, 3),) * 3,) * 3
-    assert risks_from_posterior(posterior) == (F(1, 3),) * 3
+@pytest.mark.parametrize("n", [3, 10])
+def test_fully_aggregated_orders_are_uniform(n):
+    """n = 10 is the guard's limit, D = 10! worlds, counted without walking them."""
+    scenario = abstract_scenario(n)
+    route = Route(tuple(Stop("v", i + 1) for i in range(n)) + tuple(Stop("a", i + 1) for i in range(n)))
+    posterior = posterior_matrix(route, scenario)
+    assert posterior.rows == ((F(1, n),) * n,) * n
+    assert posterior.worlds == math.factorial(n)
+    assert risks_from_posterior(posterior) == (F(1, n),) * n
+
+
+@pytest.mark.parametrize("tokens,n", [("a1,v1", 1), ("v1,a1,a2,v2", 2)])
+def test_unchecked_route_without_a_complete_branch_has_an_all_zero_posterior(tokens, n):
+    """A drop from an empty payload leaves no world: D = 0, and every cell stays 0."""
+    scenario, route = abstract_scenario(n), parse_route(tokens)
+    posterior = posterior_matrix(route, scenario, check=False)
+    assert posterior.worlds == 0
+    assert posterior.rows == ((F(0),) * n,) * n
+    assert enumerate_worlds(route, scenario, check=False) == ()
 
 
 def test_decoy_items_are_candidate_hypotheses():
@@ -220,18 +236,6 @@ def test_invalid_route_rejected():
         enumerate_worlds(parse_route("a1,v1"), abstract_scenario(1))
 
 
-def _posterior_by_summing_worlds(worlds, scenario):
-    """Reference marginalization: add each world's Fraction to the cells its assignment names."""
-    columns = [Stop("v", vendor.id) for vendor, _ in scenario.orders]
-    columns += [Stop("d", d.id) for d in sorted(scenario.decoy_vendors, key=lambda v: v.id)]
-    column_of = {stop: j for j, stop in enumerate(columns)}
-    cells = [[F(0)] * len(columns) for _ in range(scenario.n)]
-    for world in worlds:
-        for customer_id, item in world.assignment:
-            cells[scenario.order_index[customer_id]][column_of[item]] += world.probability
-    return tuple(columns), tuple(tuple(row) for row in cells)
-
-
 def _relabeled(scenario, rng):
     """The same map and orders under random ids, with the customer list shuffled."""
     orders = scenario.orders
@@ -296,7 +300,7 @@ def test_posterior_matches_the_summed_worlds(cases):
         probability = F(1, len(worlds))
         assert all(w.probability == probability for w in worlds)
         posterior = posterior_matrix(route, scenario)
-        columns, rows = _posterior_by_summing_worlds(worlds, scenario)
+        columns, rows = posterior_by_summing_worlds(worlds, scenario)
         assert posterior.vendor_stops == columns, route.tokens
         assert posterior.rows == rows, route.tokens
         assert posterior.worlds == len(worlds), route.tokens

@@ -47,11 +47,7 @@ def wait_times(route: Route, scenario: Scenario, motion: MotionModel | DroneSpec
     waits = tuple(order_waits(route.stops, scenario, motion))
     if not math.isfinite(average := sum(waits) / len(waits)):
         raise ValueError(f"the route's average wait is {average}: its legs are too long to time")
-    return WaitReport(
-        waits=waits,
-        average=average,
-        customer_ids=tuple(c.id for c in scenario.customers),
-    )
+    return WaitReport(waits=waits, average=average, customer_ids=scenario.customer_ids)
 
 
 def order_waits(stops: Sequence[Stop], scenario: Scenario, motion: MotionModel | DroneSpec) -> list[float]:
@@ -199,12 +195,43 @@ def generate(
 
 def _longest_distance_overflows(points: list[tuple[float, float]]) -> bool:
     """Whether ``math.hypot`` between two of the points is infinite.  The bounding box's diagonal is
-    checked first, in O(n); only when it overflows are the pairs compared, since a box can overflow
-    while every pair stays finite."""
+    checked first, in O(n); only when it overflows are pairs compared, since a box can overflow while
+    every pair stays finite.  Then only the convex hull's vertices are paired: a point on a hull edge
+    is never farther from any point than both of that edge's endpoints, so the farthest pair is two
+    vertices.  (Rounding could only split the verdicts of distances within a few ulps of each other.)"""
     xs, ys = [x for x, _ in points], [y for _, y in points]
     if math.isfinite(math.hypot(max(xs) - min(xs), max(ys) - min(ys))):
         return False
-    return not all(math.isfinite(math.hypot(x - px, y - py)) for (px, py), (x, y) in combinations(points, 2))
+    hull = _hull_vertices(points)
+    return not all(math.isfinite(math.hypot(x - px, y - py)) for (px, py), (x, y) in combinations(hull, 2))
+
+
+def _hull_vertices(points: list[tuple[float, float]]) -> list[tuple[float, float]]:
+    """The vertices of the points' convex hull (Andrew's monotone chain), collinear points left out; none
+    when all points coincide, as nothing is paired then.  Orientation is tested on exact integers, each
+    coordinate times the largest of the coordinates' denominators (powers of two), so no cross product
+    rounds or overflows."""
+    shift = max(v.as_integer_ratio()[1] for point in points for v in point).bit_length()
+
+    def exact(v: float) -> int:
+        num, den = v.as_integer_ratio()
+        return num << shift - den.bit_length()
+
+    by_key = {(exact(x), exact(y)): (x, y) for x, y in points}
+    keys = sorted(by_key)
+
+    def half(chain_keys) -> list[tuple[int, int]]:
+        chain: list[tuple[int, int]] = []
+        for bx, by in chain_keys:
+            while len(chain) >= 2:
+                (ox, oy), (ax, ay) = chain[-2], chain[-1]
+                if (ax - ox) * (by - oy) - (ay - oy) * (bx - ox) > 0:  # a left turn: keep the middle point
+                    break
+                chain.pop()
+            chain.append((bx, by))
+        return chain[:-1]  # the last point starts the other half
+
+    return [by_key[key] for key in half(keys) + half(reversed(keys))]
 
 
 _MASK32, _MASK64, _MASK128 = 2**32 - 1, 2**64 - 1, 2**128 - 1

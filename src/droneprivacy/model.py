@@ -185,6 +185,22 @@ class Scenario:
         return {key: (site.x, site.y) for key, site in self._sites.items()}
 
     @cached_property
+    def customer_ids(self) -> tuple[int, ...]:
+        """Customer ids in order position."""
+        return tuple(c.id for c in self.customers)
+
+    @cached_property
+    def vendor_stops(self) -> tuple[Stop, ...]:
+        """The observer posterior's columns: the vendor of order ``i`` at column ``i``, then the decoys by id."""
+        vendors = tuple(Stop("v", vendor.id) for vendor, _ in self.orders)
+        return vendors + tuple(Stop("d", i) for i in self.decoy_ids)
+
+    @cached_property
+    def vendor_column(self) -> dict[tuple[str, int], int]:
+        """``(stop kind, stop id)`` -> the column of that vendor or decoy in :attr:`vendor_stops`."""
+        return {(stop.kind, stop.sid): j for j, stop in enumerate(self.vendor_stops)}
+
+    @cached_property
     def order_index(self) -> dict[int, int]:
         """Customer id -> 0-based order position (customer list order)."""
         return {c.id: i for i, c in enumerate(self.customers)}

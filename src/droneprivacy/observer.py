@@ -46,9 +46,9 @@ class ObserverWorld:
 class PosteriorMatrix:
     """Observer posterior: rows are orders, columns are vendor stops.
 
-    Column layout: the real vendors first, arranged so that column ``i`` is
-    the vendor of order ``i`` (making the diagonal the per-order matching
-    risks), followed by the scenario's decoy vendors in id order.
+    Column layout (:attr:`Scenario.vendor_stops`, built once per scenario): the real vendors first,
+    arranged so that column ``i`` is the vendor of order ``i`` (making the diagonal the per-order
+    matching risks), followed by the scenario's decoy vendors in id order.
     """
 
     customer_ids: tuple[int, ...]
@@ -69,7 +69,7 @@ def _drop_sizes(route: Route) -> list[int]:
     aboard = 0
     worlds = 1  # D, which stops growing past EXACT_COUNT_BITS: refused either way
     for stop in route.stops:
-        if stop.is_vendor:
+        if stop.kind != "a":
             aboard += 1
         else:
             sizes.append(aboard)
@@ -144,19 +144,17 @@ def posterior_matrix(route: Route, scenario: Scenario, *, check: bool = True) ->
     if check:
         require_valid(route, scenario)
     sizes = _drop_sizes(route)
-    columns: list[Stop] = [Stop("v", vendor.id) for vendor, _ in scenario.orders]
-    columns += [Stop("d", i) for i in scenario.decoy_ids]
-    col_index = {stop: j for j, stop in enumerate(columns)}
+    column_of = scenario.vendor_column
     order_of_customer = scenario.order_index
-    cells = [[0] * len(columns) for _ in range(scenario.n)]
+    cells = [[0] * len(column_of) for _ in range(scenario.n)]
 
     rows: list[list[int]] = []  # each drop's row of cells
     pickups: list[tuple[int, int]] = []  # (column, first drop after the pickup)
     for stop in route.stops:
-        if stop.is_vendor:
-            pickups.append((col_index[stop], len(rows)))
-        else:
+        if stop.kind == "a":
             rows.append(cells[order_of_customer[stop.sid]])
+        else:
+            pickups.append((column_of[stop.kind, stop.sid], len(rows)))
     m = len(sizes)
     before, after = [1] * (m + 1), [1] * (m + 1)  # products of the sizes before drop k / from drop k on
     for k in range(m):
@@ -171,10 +169,12 @@ def posterior_matrix(route: Route, scenario: Scenario, *, check: bool = True) ->
             rows[k][col] += run * after[k + 1]
             run *= sizes[k] - 1
     denominator = worlds or 1  # no complete branch (an unchecked route): every cell stays 0
+    # Most cells are 0 or repeat another's count: one (immutable, so shared) Fraction per distinct count.
+    share = {count: Fraction(count, denominator) for count in set().union(*cells)}
     return PosteriorMatrix(
-        customer_ids=tuple(c.id for c in scenario.customers),
-        vendor_stops=tuple(columns),
-        rows=tuple(tuple(Fraction(count, denominator) for count in row) for row in cells),
+        customer_ids=scenario.customer_ids,
+        vendor_stops=scenario.vendor_stops,
+        rows=tuple(tuple(map(share.__getitem__, row)) for row in cells),
         worlds=worlds,
     )
 

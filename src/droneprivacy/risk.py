@@ -60,7 +60,7 @@ def privacy_risks(route: Route, scenario: Scenario, *, check: bool = True) -> Ri
     if check:
         require_valid(route, scenario)
     nums, dens = _run_recurrence(route.stops, scenario)
-    return _report(tuple(map(Fraction, nums, dens)), nums, dens, tuple(c.id for c in scenario.customers))
+    return _report(tuple(map(Fraction, nums, dens)), nums, dens, scenario.customer_ids)
 
 
 def _run_recurrence(stops: Sequence[Stop], scenario: Scenario) -> tuple[list[int], list[int]]:

@@ -1,7 +1,11 @@
 """Geometry: leg times, wait-time model, fixtures, and generators."""
 
+import collections
 import itertools
 import math
+import random
+import sys
+import time
 
 import pytest
 
@@ -245,6 +249,52 @@ def test_distance_overflow_is_judged_on_pairs_not_on_the_bounding_box():
     assert not geometry._longest_distance_overflows(diamond)
     assert geometry._longest_distance_overflows(diamond + [(-1e308, 0.0), (1e308, 0.0)])
     assert not geometry._longest_distance_overflows([(0.0, 0.0), (3.0, 4.0)])
+
+
+def _pair_scan_overflows(points):
+    """The reference: ``math.hypot`` over every pair of points, the check the hull check replaced."""
+    return not all(math.isfinite(math.hypot(x - px, y - py)) for (px, py), (x, y) in itertools.combinations(points, 2))
+
+
+def _wide_point_set(rng, shape):
+    """Up to 80 points, some repeated, whose farthest pair is about 0.8-1.1 times the largest float apart."""
+    half, count = sys.float_info.max * rng.uniform(0.4, 0.55), rng.randint(2, 40)
+    if shape == "square":
+        points = [(half * rng.uniform(-1, 1), half * rng.uniform(-1, 1)) for _ in range(count)]
+    elif shape == "circle":  # every point is a hull vertex
+        angles = [rng.uniform(0, 2 * math.pi) for _ in range(count)]
+        points = [(half * math.cos(a), half * math.sin(a)) for a in angles]
+    elif shape == "line":  # collinear: only the two ends are vertices
+        ux, uy = math.cos(angle := rng.uniform(0, math.pi)), math.sin(angle)
+        points = [(t * ux, t * uy) for t in [-half, half] + [half * rng.uniform(-1, 1) for _ in range(count)]]
+    else:  # two tall clusters, with coordinates near zero (tiny and negative zero) among them
+        ys = (-0.0, 1e-300, 0.5) + tuple(half * rng.uniform(-0.5, 0.5) for _ in range(2 * count))
+        points = [(side * half * rng.uniform(0.85, 1), y) for side, y in zip((-1, 1) * count, ys)]
+    return points + rng.sample(points, rng.randint(0, 2))
+
+
+def test_hull_check_agrees_with_the_pair_scan_near_the_largest_float():
+    rng = random.Random(2098)
+    reached_hull = collections.Counter()  # pair scan's verdict, on the sets whose box's diagonal overflows
+    for k in range(400):
+        points = _wide_point_set(rng, ("square", "circle", "line", "clusters")[k % 4])
+        overflows = _pair_scan_overflows(points)
+        assert geometry._longest_distance_overflows(points) == overflows, points
+        xs, ys = [x for x, _ in points], [y for _, y in points]
+        if math.hypot(max(xs) - min(xs), max(ys) - min(ys)) == math.inf:
+            reached_hull[overflows] += 1
+    assert reached_hull[False] > 50 and reached_hull[True] > 100  # 89 and 172: neither verdict is vacuous
+
+
+def test_hull_check_accepts_a_wide_4000_order_map_quickly():
+    """The box's diagonal overflows but no pair's distance does: the pair scan over all 8,000 sites took 9-11 s
+    on 2 CPUs, while the hull's vertices are paired in well under a second."""
+    start = time.perf_counter()
+    scenario = generate("two_clusters", 4000, separation=1.0e308, cluster_radius=1.95e307)
+    assert time.perf_counter() - start < 1.0
+    sites = scenario.vendors + scenario.customers
+    xs, ys = [site.x for site in sites], [site.y for site in sites]
+    assert math.hypot(max(xs) - min(xs), max(ys) - min(ys)) == math.inf
 
 
 def test_motion_model_bounds():

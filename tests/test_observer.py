@@ -289,8 +289,24 @@ def _random_cases(count=200):
         yield _random_route(scenario, rng.randint(1, 3), rng), scenario
 
 
-@pytest.mark.parametrize("cases", [_structural_cases, _random_cases], ids=["abstract-n-le-3", "random-n5-6"])
-def test_posterior_matches_the_summed_worlds(cases):
+def _sampled_cases():
+    """Two random routes at every capacity for n = 5..7 and 0..2 decoys: payloads up to 9 items, where most
+    cells repeat another cell's count (at most 9!/2 worlds, inside the 10! guard)."""
+    rng = random.Random(1975)
+    for n in range(5, 8):
+        for n_decoys in range(3):
+            scenario = abstract_scenario(n, n_decoys=n_decoys)
+            for capacity in range(1, n + 1):
+                for _ in range(2):
+                    yield _random_route(scenario, capacity, rng), scenario
+
+
+@pytest.mark.parametrize(
+    "cases,count",
+    [(_structural_cases, 200), (_random_cases, 200), (_sampled_cases, 108)],
+    ids=["abstract-n-le-3", "random-n5-6", "sampled-n5-7-every-capacity"],
+)
+def test_posterior_matches_the_summed_worlds(cases, count):
     checked = 0
     for route, scenario in cases():
         worlds = enumerate_worlds(route, scenario)
@@ -306,4 +322,27 @@ def test_posterior_matches_the_summed_worlds(cases):
         assert posterior.worlds == len(worlds), route.tokens
         assert posterior.customer_ids == tuple(c.id for c in scenario.customers)
         checked += 1
-    assert checked >= 200
+    assert checked >= count
+
+
+def test_column_layout_follows_the_orders_when_ids_do_not():
+    """Customers listed 9, 2, 4, served by vendors 3, 7, 5; decoys 8 and 2 (a decoy id may equal a customer's)."""
+    scenario = Scenario(
+        vendors=(
+            VendorSite(7, 0.0, 0.0), VendorSite(8, 1.0, 0.0, decoy=True), VendorSite(5, 2.0, 0.0),
+            VendorSite(2, 3.0, 0.0, decoy=True), VendorSite(3, 4.0, 0.0),
+        ),
+        customers=(CustomerSite(9, 0.0, 1.0, vendor_id=3), CustomerSite(2, 1.0, 1.0, vendor_id=7),
+                   CustomerSite(4, 2.0, 1.0, vendor_id=5)),
+    )
+    assert scenario.customer_ids == (9, 2, 4)
+    assert [s.token for s in scenario.vendor_stops] == ["v3", "v7", "v5", "d2", "d8"]
+    assert scenario.vendor_column == {("v", 3): 0, ("v", 7): 1, ("v", 5): 2, ("d", 2): 3, ("d", 8): 4}
+    route = parse_route("v5,d8,v3,a4,v7,d2,a2,a9")
+    posterior = posterior_matrix(route, scenario)
+    assert posterior.customer_ids == scenario.customer_ids and posterior.vendor_stops == scenario.vendor_stops
+    assert (posterior.vendor_stops, posterior.rows) == posterior_by_summing_worlds(
+        enumerate_worlds(route, scenario), scenario)
+    # Payload sizes 3 (v5, d8, v3), then 4 and 3 (v7 and d2 added): a4 holds v5 with chance 1/3.
+    assert posterior.rows[2][2] == F(1, 3)
+    assert risks_from_posterior(posterior) == privacy_risks(route, scenario).risks

@@ -79,20 +79,6 @@ class HeuristicParams:
         return self.c
 
     @property
-    def decay(self) -> Fraction:
-        """Stuffing survival ratio per intermediate run: (c - 1) / c."""
-        if self.kind != "stuffing":
-            raise ValueError("decay is defined for stuffing only")
-        return Fraction(self.c - 1, self.c)
-
-    @property
-    def plateau(self) -> int:
-        """Stuffing decay-exponent cap: min(c - 1, n - c)."""
-        if self.kind != "stuffing":
-            raise ValueError("plateau is defined for stuffing only")
-        return min(self.c - 1, self.n - self.c)
-
-    @property
     def label(self) -> str:
         if self.kind == "split":
             return f"split(k={self.k},l={self.l})"
@@ -168,12 +154,9 @@ def closed_form_risks(params: HeuristicParams) -> RiskReport:
         middle = Fraction(n - 2 * k, (n - k) ** 2)
         risks = [ends if (i <= k or i > n - k) else middle for i in range(1, n + 1)]
     else:
-        b, cap = params.decay, params.plateau
         c = params.c
-        risks = [
-            Fraction(1, c) * b ** min(cap, i - 1, n - i)
-            for i in range(1, n + 1)
-        ]
+        b, cap = Fraction(c - 1, c), min(c - 1, n - c)
+        risks = [Fraction(1, c) * b ** min(cap, i - 1, n - i) for i in range(1, n + 1)]
     return RiskReport.from_risks(risks, tuple(range(1, n + 1)))
 
 
@@ -184,8 +167,8 @@ def stuffing_risk_series(n: int, c: int) -> Fraction:
     ``2 * (b^0 + ... + b^d) + (n - 2(d+1)) * b^d``; dividing by ``n * c``
     yields the mean risk, which tends to ``(1/c) * b^(c-1)`` for large n.
     """
-    params = HeuristicParams("stuffing", n, c=c)
-    b, d = params.decay, params.plateau
+    HeuristicParams("stuffing", n, c=c)  # validates n and c
+    b, d = Fraction(c - 1, c), min(c - 1, n - c)
     return 2 * sum(b**j for j in range(d + 1)) + (n - 2 * (d + 1)) * b**d
 
 

@@ -2,12 +2,13 @@
 
 Enumeration is a depth-first walk over lexicographic stop choices (real
 vendors by id, then decoys, then customers), so the route stream is
-deterministic and free of duplicates.  The walk carries each prefix's risk
-and clock state and yields each route with its objectives, so a front never
-rescans a route.  Risk objectives are exact rationals; wait objectives are
-floats computed in a fixed order, so fronts are bit-reproducible.  A front
-keeps each point's smallest route and its exact tie count, so it does not
-depend on the order routes are offered in.
+deterministic and free of duplicates.  The walk carries each prefix's clock
+state and one risk objective (the risk sum or the worst risk) and yields each
+route with that risk and its average wait, so a front never rescans a route.
+Risk objectives are exact rationals; wait objectives are floats computed in a
+fixed order, so fronts are bit-reproducible.  A front keeps each point's
+smallest route and its exact tie count, so it does not depend on the order
+routes are offered in.
 
 Pareto fronts are exact by branch and bound (Land & Doig 1960) on the same
 walk: a prefix is cut when a route already walked is no riskier than the
@@ -132,7 +133,7 @@ def enumerate_routes(scenario: Scenario, drone: DroneSpec, decoy_budget: int = 0
     stops included).
     """
     _check_guards(scenario.n, scenario.n_decoys, drone.capacity, decoy_budget)
-    for seq, _, _, _ in _sequences(scenario, drone.capacity, decoy_budget):
+    for seq, _, _ in _sequences(scenario, drone.capacity, decoy_budget, average=False):
         yield Route(seq)
 
 
@@ -143,11 +144,11 @@ def _sequences(
     drone: DroneSpec | None = None,
     front: ParetoAccumulator | None = None,
     average: bool = True,
-) -> Iterator[tuple[tuple[Stop, ...], tuple[int, int], tuple[int, int], float]]:
-    """Every valid route as ``(stops, risk_sum, worst, avg_wait)``, in ``Route.sort_key`` order.
+) -> Iterator[tuple[tuple[Stop, ...], tuple[int, int], float]]:
+    """Every valid route as ``(stops, risk, avg_wait)``, in ``Route.sort_key`` order.
 
-    ``risk_sum`` (the sum of the per-order risks) and ``worst`` (the largest
-    of them) are exact and reduced ``(numerator, denominator)`` pairs, so
+    ``risk`` is the sum of the per-order risks if ``average``, else the
+    largest of them: an exact, reduced ``(numerator, denominator)`` pair, so
     equal values have equal pairs.  ``avg_wait`` is bit-identical to
     :func:`~droneprivacy.geometry.wait_times`' average at the drone's speed
     and stop time, and 0.0 without a drone.
@@ -160,15 +161,16 @@ def _sequences(
     of the survivor fractions of the completed runs (``pn / pd``), which
     each order snapshots at pickup.  A delivered order's risk is final at
     once: the product's growth since its pickup, divided by the frozen
-    payload.  The picked and delivered orders and the used decoys are bit
-    masks (an order's bit is ``1 << position``, a decoy's ``1 << rank``).
+    payload; a delivery adds it to the risk sum, or keeps the larger of it
+    and the worst risk so far.  The picked and delivered orders and the used
+    decoys are bit masks (an order's bit is ``1 << position``, a decoy's
+    ``1 << rank``).
 
-    With a ``front`` (the incumbent set of the caller, whose risks are risk
-    sums if ``average``, else worst risks), the walk is bounded: it skips a
-    prefix, with every route that extends it, when a route on the front is
-    no riskier than the prefix's risk bound and waits strictly less than its
-    wait bound.  It raises :class:`GuardError` past ``MAX_FRONT_NODES``
-    prefixes.
+    With a ``front`` (the incumbent set of the caller, whose risks are the
+    walk's ``risk``), the walk is bounded: it skips a prefix, with every
+    route that extends it, when a route on the front is no riskier than the
+    prefix's risk bound and waits strictly less than its wait bound.  It
+    raises :class:`GuardError` past ``MAX_FRONT_NODES`` prefixes.
     """
     n = scenario.n
     order_of_vendor = scenario.order_index_by_vendor
@@ -201,9 +203,10 @@ def _sequences(
         shrink = (1 - 1e-9) / n
 
     # picked / dropped / used: masks of the picked and delivered orders and the used decoys;
-    # frozen: the current customer run's payload (0 in a vendor run); sn / sd: risk sum; wn / wd:
-    # worst risk; t: clock; done: the delivered orders' waits, summed; last: index of the last stop.
-    def walk(picked, dropped, used, aboard, decoys_left, frozen, pn, pd, sn, sd, wn, wd, t, done, last):
+    # frozen: the current customer run's payload (0 in a vendor run); rn / rd: the delivered orders'
+    # risk sum or worst risk; t: clock; done: the delivered orders' waits, summed; last: index of the
+    # last stop.
+    def walk(picked, dropped, used, aboard, decoys_left, frozen, pn, pd, rn, rd, t, done, last):
         nonlocal visited
         if front is not None:
             visited += 1
@@ -217,13 +220,10 @@ def _sequences(
             if i:
                 # The least risk among the front's routes that wait less than the wait bound: if it is no
                 # more than the risk bound, every extension waits longer than that route and none can tie it.
-                rn, rd = inc_risks[i - 1].numerator, inc_risks[i - 1].denominator
-                if not average:
-                    if rn * wd <= wn * rd:
-                        return
-                elif rn * sd <= sn * rd:
+                fn, fd = inc_risks[i - 1].numerator, inc_risks[i - 1].denominator
+                if fn * rd <= rn * fd:
                     return
-                else:  # the delivered risk sum alone does not cut; add the least to come
+                if average:  # the delivered risk sum alone does not cut; add the least to come
                     held = picked ^ dropped
                     ratios = []
                     for _, pos, bit in reals:
@@ -233,10 +233,10 @@ def _sequences(
                             ratios.append((num // g, den // g))
                     ratios.sort()
                     tn, td = risk_to_go(remaining - aboard, tuple(ratios), frozen if aboard else 0, decoys_left)
-                    if rn * sd * td <= (sn * td + tn * sd) * rd:
+                    if fn * rd * td <= (rn * td + tn * rd) * fd:
                         return
         if dropped == full:
-            yield tuple(path), (sn, sd), (wn, wd), sum(waits) / n
+            yield tuple(path), (rn, rd), sum(waits) / n
         row = legs[last]
         vpn, vpd = pn, pd  # the survivor product after a vendor or decoy stop
         if frozen and aboard:
@@ -249,14 +249,14 @@ def _sequences(
                     pickup_d[pos] = vpd
                     path.append(stops[k])
                     yield from walk(picked | bit, dropped, used, aboard + 1, decoys_left, 0, vpn, vpd,
-                                    sn, sd, wn, wd, t + row[k], done, k)
+                                    rn, rd, t + row[k], done, k)
                     path.pop()
         if decoys_left:
             for k, bit in decoys:
                 if not used & bit:
                     path.append(stops[k])
                     yield from walk(picked, dropped, used | bit, aboard, decoys_left - 1, 0, vpn, vpd,
-                                    sn, sd, wn, wd, t + row[k], done, k)
+                                    rn, rd, t + row[k], done, k)
                     path.pop()
         payload = frozen or aboard + decoy_budget - decoys_left
         held = picked ^ dropped
@@ -267,24 +267,24 @@ def _sequences(
                 g = math.gcd(num, den)
                 num //= g
                 den //= g
-                nsn = sn * den + num * sd
-                nsd = sd * den
-                g = math.gcd(nsn, nsd)
-                if num * wd > wn * den:
-                    nwn, nwd = num, den
-                else:
-                    nwn, nwd = wn, wd
+                if average:
+                    num, den = rn * den + num * rd, rd * den
+                    g = math.gcd(num, den)
+                    num //= g
+                    den //= g
+                elif num * rd <= rn * den:
+                    num, den = rn, rd
                 wait = waits[pos] = t + row[k]
                 path.append(stops[k])
                 if dropped | bit == full and not decoys_left:
                     # The last delivery, and no decoy left to append: the route is complete.
-                    yield tuple(path), (nsn // g, nsd // g), (nwn, nwd), sum(waits) / n
+                    yield tuple(path), (num, den), sum(waits) / n
                 else:
                     yield from walk(picked, dropped | bit, used, aboard - 1, decoys_left, payload, pn, pd,
-                                    nsn // g, nsd // g, nwn, nwd, wait, done + wait, k)
+                                    num, den, wait, done + wait, k)
                 path.pop()
 
-    yield from walk(0, 0, 0, 0, decoy_budget, 0, 1, 1, 0, 1, 0, 1, 0.0, 0.0, -1)
+    yield from walk(0, 0, 0, 0, decoy_budget, 0, 1, 1, 0, 1, 0.0, 0.0, -1)
 
 
 def evaluate(
@@ -490,9 +490,9 @@ def pareto_front(
     # the walk's bound reads; they end as the front, since every route that ties a front point is walked.
     incumbents = ParetoAccumulator()
     walked = 0
-    for seq, risk_sum, worst, wait in _sequences(scenario, capacity, decoy_budget, drone, incumbents, average):
+    for seq, risk, wait in _sequences(scenario, capacity, decoy_budget, drone, incumbents, average):
         walked += 1
-        incumbents.offer(Fraction(*(risk_sum if average else worst)), wait, seq)
+        incumbents.offer(Fraction(*risk), wait, seq)
 
     points = tuple(
         ParetoPoint(evaluation=evaluate(Route(seq), scenario, drone, check=False), multiplicity=ties)
@@ -516,12 +516,14 @@ def min_avg_risk_sweep(
     walk's guard is checked first, at the largest cell: the route count grows
     with n, capacity and budget, so it is refused whenever any cell is.
     """
-    n_values = sorted(set(n_range))
-    c_values = sorted(set(c_range))
-    d_values = sorted(set(decoy_range))
+    # A range is already distinct and ordered, so its ends are read without iterating it.
+    n_values, c_values, d_values = (
+        (r if r.step > 0 else r[::-1]) if isinstance(r, range) else sorted(set(r))
+        for r in (n_range, c_range, decoy_range)
+    )
     if not n_values or not c_values or not d_values:
         raise ValueError("all sweep ranges must be non-empty")
-    if min(n_values) < 1 or min(c_values) < 1 or min(d_values) < 0:
+    if n_values[0] < 1 or c_values[0] < 1 or d_values[0] < 0:
         raise ValueError("sweep ranges out of bounds")
     n_max, d_max = n_values[-1], d_values[-1]
     _check_guards(n_max, d_max, min(c_values[-1], n_max), d_max)

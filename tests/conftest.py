@@ -127,9 +127,9 @@ def exhaustive_front(
     average = objectives[0] == "avg_risk"
     front = ParetoAccumulator()
     total = 0
-    for seq, risk_sum, worst, wait in _sequences(scenario, drone.capacity, decoy_budget, drone):
+    for seq, risk, wait in _sequences(scenario, drone.capacity, decoy_budget, drone, average=average):
         total += 1
-        front.offer(Fraction(*(risk_sum if average else worst)), wait, seq)
+        front.offer(Fraction(*risk), wait, seq)
     points = tuple(
         ParetoPoint(evaluation=evaluate(Route(seq), scenario, drone, check=False), multiplicity=ties)
         for seq, ties in zip(front.seqs, front.counts)
@@ -144,7 +144,7 @@ def exhaustive_sweep(n_range, c_range, decoy_range) -> dict[tuple[int, int, int]
     for n in n_range:
         for n_d in decoy_range:
             best_by_peak: dict[int, tuple[int, int]] = {}  # the least risk sum, a reduced pair
-            for seq, (nu, de), _, _ in _sequences(abstract_scenario(n, n_d), min(max(c_range), n), n_d):
+            for seq, (nu, de), _ in _sequences(abstract_scenario(n, n_d), min(max(c_range), n), n_d):
                 peak = max_load(seq)
                 best = best_by_peak.get(peak)
                 if best is None or nu * best[1] < best[0] * de:

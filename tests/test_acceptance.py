@@ -124,7 +124,7 @@ def test_criterion_03_oracle_equivalence_exhaustive():
             class_risks: dict[tuple, tuple] = {}
             cell_count = 0
             # capacity 4 >= n enumerates the union over capacities 1..4
-            for seq, _, _, _ in _sequences(scenario, 4, n_d):
+            for seq, _, _ in _sequences(scenario, 4, n_d):
                 cell_count += 1
                 key, order_rank = _canonical_key_and_ranks(seq, order_of_vendor, order_of_customer)
                 cached = class_risks.get(key)
@@ -157,7 +157,7 @@ def test_criterion_03_oracle_equivalence_exhaustive():
     for n in (1, 2):
         for n_d in range(0, 3):
             scenario = abstract_scenario(n, n_d)
-            for seq, _, _, _ in _sequences(scenario, n, n_d):
+            for seq, _, _ in _sequences(scenario, n, n_d):
                 route = Route(seq)
                 assert privacy_risks(route, scenario).risks == risks_from_posterior(
                     posterior_matrix(route, scenario)
@@ -168,7 +168,7 @@ def test_criterion_03_oracle_equivalence_exhaustive():
 
 
 def _routes(scenario, capacity):
-    return (Route(seq) for seq, _, _, _ in _sequences(scenario, capacity, 0))
+    return (Route(seq) for seq, _, _ in _sequences(scenario, capacity, 0))
 
 
 def test_criterion_04_propositions_empirically():
@@ -197,7 +197,7 @@ def test_criterion_04_propositions_empirically():
             scenario = abstract_scenario(n, n_d)
             for c in range(1, 4):
                 bound = max(F(1, n + n_d), F(1, c + n_d))
-                for seq, _, _, _ in _sequences(scenario, c, n_d):
+                for seq, _, _ in _sequences(scenario, c, n_d):
                     worst = privacy_risks(Route(seq), scenario, check=False).worst_case
                     assert worst >= bound, (n, c, n_d, Route(seq).tokens)
     elapsed = time.perf_counter() - started

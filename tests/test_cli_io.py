@@ -242,6 +242,55 @@ def test_cli_pareto_csv(tmp_path, capsys):
     assert capsys.readouterr().err == "6 routes covered (2 walked), 1 on the front\n"
 
 
+@pytest.mark.parametrize("flag, objectives", [
+    (None, ("avg_risk", "avg_wait")),
+    ("worst-risk,avg-wait", ("worst_risk", "avg_wait")),
+    (" avg-risk , avg-wait ", ("avg_risk", "avg_wait")),
+])
+def test_cli_pareto_objectives_write_the_library_csv(tmp_path, flag, objectives):
+    scenario = generate("two_clusters", 4, seed=3)
+    scenario_path, out_path, expected = tmp_path / "s.json", tmp_path / "front.csv", tmp_path / "expected.csv"
+    save_scenario(ScenarioFile(scenario=scenario, name="s", motion=MotionModel(12.5, 45.0)), scenario_path)
+    args = ["pareto", "--scenario", str(scenario_path), "--capacity", "3", "--out", str(out_path)]
+    assert main(args + (["--objectives", flag] if flag else [])) == 0
+    front = pareto_front(scenario, DroneSpec(3, 12.5, 45.0), objectives)
+    write_front_csv(front, scenario, 3, 0, expected)
+    assert out_path.read_bytes() == expected.read_bytes()
+
+
+@pytest.mark.parametrize("text", ["avg-wait,avg-risk", "avg-risk"])
+def test_cli_pareto_bad_objectives_exit_2(tmp_path, capsys, text):
+    path = tmp_path / "s.json"
+    save_scenario(ScenarioFile(scenario=generate("uniform", 2, seed=1), name="s"), path)
+    assert main(["pareto", "--scenario", str(path), "--capacity", "2", "--objectives", text]) == 2
+    assert "objectives must be" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("args, message", [
+    (["heuristic", "--kind", "split", "--k", "2"], "split takes k and l"),
+    (["heuristic", "--kind", "reversal", "--k", "1", "--c", "2"], "reversal takes k only"),
+    (["heuristic", "--kind", "stuffing", "--k", "1"], "stuffing takes c only"),
+    (["pareto", "--decoy-budget", "-1"], "decoy budget must be non-negative"),
+    (["gen", "--topology", "uniform", "--decoys", "-1"], "decoy count must be non-negative"),
+    (["gen", "--topology", "two_clusters", "--separation", "-5"], "separation must be positive"),
+    (["gen", "--topology", "hub_spoke", "--hub-radius", "500", "--ring-inner", "400"],
+     "need 0 < hub_radius <= ring_inner < ring_outer"),
+    (["gen", "--topology", "linear", "--corridor-width", "0"], "corridor_width must be positive"),
+])
+def test_cli_bad_parameters_exit_3_with_their_message(tmp_path, capsys, args, message):
+    """A refused parameter exits 3 with its message on stderr, and ``gen`` writes no file."""
+    scenario_path, out_path = tmp_path / "s.json", tmp_path / "out.json"
+    save_scenario(ScenarioFile(scenario=generate("uniform", 4, seed=3), name="s"), scenario_path)
+    if args[0] == "gen":
+        args = args + ["--n", "3", "--out", str(out_path)]
+    else:
+        args = args + ["--scenario", str(scenario_path), "--capacity", "4"]
+    assert main(args) == 3
+    out, err = capsys.readouterr()
+    assert out == "" and err == f"error: {message}\n"
+    assert not out_path.exists()
+
+
 def test_cli_sweep_csv(tmp_path):
     out_path = tmp_path / "sweep.csv"
     code = main(["sweep", "--n", "1..3", "--capacity", "1..3", "--decoys", "0", "--out", str(out_path)])

@@ -66,11 +66,17 @@ def test_stuffing_template_structure():
         ("reversal", dict(k=-1)),
         ("stuffing", dict(c=0)),
         ("stuffing", dict(c=4)),  # c > n
+        ("zigzag", {}),  # no such kind
     ],
 )
 def test_parameter_validation(kind, kwargs):
     with pytest.raises(ValueError):
         HeuristicParams(kind, 3, **kwargs)
+
+
+def test_parameter_validation_rejects_no_orders():
+    with pytest.raises(ValueError, match="n must be at least 1"):
+        HeuristicParams("stuffing", 0, c=1)
 
 
 def test_split_closed_form():

@@ -165,6 +165,17 @@ def test_template_must_alternate_and_stay_homogeneous():
         RouteTemplate(((v1, a1),))  # mixed group
     with pytest.raises(ValueError):
         RouteTemplate(((v1,), (a1,), (a2,)))  # two customer groups in a row
+    with pytest.raises(ValueError, match="at least one group"):
+        RouteTemplate(())
+    with pytest.raises(ValueError, match="group 0 is empty"):
+        RouteTemplate(((),))
+
+
+def test_stop_rejects_an_unknown_kind_or_a_negative_id():
+    with pytest.raises(ValueError, match="unknown stop kind"):
+        Stop("x", 1)
+    with pytest.raises(ValueError, match="must be non-negative"):
+        Stop("v", -1)
 
 
 def test_template_flatten_sorts_groups_by_default():

@@ -3,7 +3,6 @@
 import math
 from array import array
 from fractions import Fraction as F
-from itertools import zip_longest
 
 import pytest
 
@@ -380,36 +379,44 @@ def test_guard_counts_print_exactly_up_to_64_bits():
     assert math.factorial(20).bit_length() <= 64 < factorial_count(10**6).bit_length()
 
 
+def _both_walks(scenario, capacity, budget, motion):
+    """The average-risk walk and the worst-risk walk side by side, one pair of yields per route."""
+    return zip(_sequences(scenario, capacity, budget, motion),
+               _sequences(scenario, capacity, budget, motion, average=False), strict=True)
+
+
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_walker_state_and_sweep_match_the_per_route_path(n):
     """At every route, the objectives the walker yields equal a rescan by the public per-route functions.
 
-    Risks must equal privacy_risks' Fractions, waits must be bit-equal to wait_times' average (which
-    is evaluate's avg_wait).  The full walk (capacity n, budget 2) is checked route by route on the
-    tie-heavy grid and on a generated map.  On the generated map, every smaller capacity and budget
-    must then yield the objectives of exactly the full walk's routes that fit it (by their peak load),
-    in the same order (which routes those are is checked by the enumeration tests above).  The same
+    Risks must equal privacy_risks' Fractions (the risk sum from the average walk, the worst risk from
+    the worst walk), waits must be bit-equal to wait_times' average (which is evaluate's avg_wait).
+    The full walks (capacity n, budget 2) are checked route by route on the tie-heavy grid and on a
+    generated map.  On the generated map, every smaller capacity and budget must then yield the
+    objectives of exactly the full walks' routes that fit it (by their peak load), in the same order
+    (which routes those are is checked by the enumeration tests above).  The same
     per-route risks give the brute-force minima that every min_avg_risk_sweep cell (n, c <= 4,
     d <= 2) must equal: the routes of abstract_scenario(n, d) are the grid's routes whose decoy ids
     are all at most d.
     """
     motion = MotionModel()
     grid, spread = abstract_scenario(n, n_decoys=2), generate("uniform", n, n_decoys=2, seed=n)
-    fingerprints = array("q")  # hash of the objectives on the generated map, in full-walk order
+    fingerprints = array("q")  # hash of both walks' objectives on the generated map, in full-walk order
     fits = []  # (peak, decoys used) per route of the full walk
     least: dict[tuple[int, int], F] = {}  # (peak, largest decoy id used) -> least average risk
-    full_walks = zip_longest(_sequences(grid, n, 2, motion), _sequences(spread, n, 2, motion))
+    full_walks = zip(_both_walks(grid, n, 2, motion), _both_walks(spread, n, 2, motion), strict=True)
     for on_grid, on_spread in full_walks:
-        seq, (sum_nu, sum_de), (worst_nu, worst_de), wait = on_grid
-        assert seq == on_spread[0]
+        (seq, (sum_nu, sum_de), wait), (worst_seq, (worst_nu, worst_de), worst_wait) = on_grid
+        assert seq == worst_seq == on_spread[0][0] == on_spread[1][0]
         route = Route(seq)
         report = privacy_risks(route, grid, check=False)
         assert F(sum_nu, sum_de * n) == report.average
         assert F(worst_nu, worst_de) == report.worst_case
-        assert wait.hex() == wait_times(route, grid, motion, check=False).average.hex()
-        assert on_spread[1:3] == on_grid[1:3]
-        assert on_spread[3].hex() == wait_times(route, spread, motion, check=False).average.hex()
-        fingerprints.append(hash(on_spread[1:]))
+        assert wait.hex() == worst_wait.hex() == wait_times(route, grid, motion, check=False).average.hex()
+        assert (on_spread[0][1], on_spread[1][1]) == ((sum_nu, sum_de), (worst_nu, worst_de))
+        spread_wait = wait_times(route, spread, motion, check=False).average.hex()
+        assert on_spread[0][2].hex() == on_spread[1][2].hex() == spread_wait
+        fingerprints.append(hash((on_spread[0][1:], on_spread[1][1:])))
         decoy_ids = [stop.sid for stop in seq if stop.kind == "d"]
         peak = max_load(seq)
         fits.append((peak, len(decoy_ids)))
@@ -422,7 +429,7 @@ def test_walker_state_and_sweep_match_the_per_route_path(n):
             expected = [
                 h for h, (peak, used) in zip(fingerprints, fits) if peak <= capacity and used <= budget
             ]
-            got = [hash(walked[1:]) for walked in _sequences(spread, capacity, budget, motion)]
+            got = [hash((avg[1:], worst[1:])) for avg, worst in _both_walks(spread, capacity, budget, motion)]
             assert got == expected, (capacity, budget)
 
     table = min_avg_risk_sweep([n], range(1, 5), range(3))
@@ -436,11 +443,14 @@ def test_walker_state_matches_the_per_route_path_on_every_n5_route():
     scenario = generate("uniform", 5, seed=11)
     drone = DroneSpec(capacity=3)
     count = 0
-    for seq, (sum_nu, sum_de), (worst_nu, worst_de), wait in _sequences(scenario, 3, 0, MotionModel()):
+    for (seq, (sum_nu, sum_de), wait), (worst_seq, (worst_nu, worst_de), worst_wait) in _both_walks(
+        scenario, 3, 0, MotionModel()
+    ):
+        assert seq == worst_seq
         e = evaluate(Route(seq), scenario, drone, check=False)
         assert F(sum_nu, sum_de * 5) == e.avg_risk
         assert F(worst_nu, worst_de) == e.worst_risk
-        assert wait.hex() == e.avg_wait.hex()
+        assert wait.hex() == worst_wait.hex() == e.avg_wait.hex()
         count += 1
     assert count == 52920
 
@@ -519,6 +529,45 @@ def test_sweep_refuses_a_million_orders_at_once():
     with pytest.raises(GuardError, match=r"n=1000000, capacity 1, decoy budget 0 refused: at least 1000000!"):
         min_avg_risk_sweep([10**6], [1], [0])
     assert time.perf_counter() - start < 1.0
+
+
+_CAPPED_SWEEP = """
+import resource, sys, time
+cap = 512 * 2**20  # far less than a set of 10^8 ints needs
+resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
+from droneprivacy import GuardError, min_avg_risk_sweep
+from droneprivacy.cli import main
+n_hi, d_hi = int(sys.argv[1]), int(sys.argv[2])
+start = time.perf_counter()
+try:
+    min_avg_risk_sweep(range(1, n_hi + 1), range(1, 2), range(d_hi + 1))
+except GuardError:
+    pass
+else:
+    sys.exit("the sweep was not refused")
+code = main(["sweep", "--n", f"1..{n_hi}", "--capacity", "1", "--decoys", f"0..{d_hi}"])
+print(f"{time.perf_counter() - start:.3f}")
+sys.exit(code)
+"""
+
+
+@pytest.mark.parametrize("n_hi, d_hi", [(10**8, 0), (7, 10**8), (10**11, 0), (7, 10**11)])
+def test_sweep_refuses_huge_ranges_before_building_them(n_hi, d_hi):
+    """A range's largest n or budget is refused before the range is iterated: under a 512 MB address-space
+    cap, the library raises GuardError and the CLI exits 4 with one ``refused:`` line, both in under 1 s."""
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import droneprivacy
+
+    src = str(Path(droneprivacy.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, "-c", _CAPPED_SWEEP, str(n_hi), str(d_hi)], capture_output=True,
+                          text=True, env={**os.environ, "PYTHONPATH": src}, timeout=60)
+    assert proc.returncode == 4, proc.stderr
+    assert proc.stderr.startswith("refused: ") and proc.stderr.count("\n") == 1, proc.stderr
+    assert float(proc.stdout) < 1.0
 
 
 def test_sweep_builds_one_memo_per_capacity_up_to_the_largest_n(monkeypatch):

@@ -12,22 +12,14 @@ import argparse
 import dataclasses
 import re
 import sys
+from typing import TYPE_CHECKING
 
-from . import fixtures as fixture_checks
+# The parser needs only these; each command imports the modules it runs, so a run loads no others.
 from .errors import GuardError
-from .geometry import generate
-from .heuristics import HeuristicParams, instantiate_template, template_for
-from .io import (
-    ScenarioFile,
-    format_fraction,
-    load_scenario,
-    save_scenario,
-    write_front_csv,
-    write_sweep_csv,
-)
-from .model import DroneSpec, MotionModel, parse_route
-from .observer import posterior_matrix
-from .search import evaluate, min_avg_risk_sweep, pareto_front
+from .model import DroneSpec, MotionModel
+
+if TYPE_CHECKING:
+    from .io import ScenarioFile
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -138,6 +130,8 @@ def _drone_for(args, scenario_file: ScenarioFile) -> DroneSpec:
 def _risk_and_wait_lines(evaluation) -> list[str]:
     """An evaluation's output lines.  A command builds all its text before printing any of it, so a
     risk too long to format (Python's int-to-str digit limit) leaves stdout empty."""
+    from .io import format_fraction
+
     lines = [f"risk a{cid} = {format_fraction(risk)} ({float(risk):.6g})"
              for cid, risk in zip(evaluation.customer_ids, evaluation.risks)]
     lines.append(f"avg_risk = {format_fraction(evaluation.avg_risk)} ({float(evaluation.avg_risk):.6g})")
@@ -148,6 +142,9 @@ def _risk_and_wait_lines(evaluation) -> list[str]:
 
 
 def cmd_gen(args) -> int:
+    from .geometry import generate
+    from .io import ScenarioFile, save_scenario
+
     params = {}
     for key in ("separation", "cluster_radius", "hub_radius", "ring_inner", "ring_outer", "corridor_width"):
         if getattr(args, key) is not None:
@@ -164,6 +161,10 @@ def cmd_gen(args) -> int:
 
 
 def cmd_eval(args) -> int:
+    from .io import load_scenario
+    from .model import parse_route
+    from .search import evaluate
+
     sf = load_scenario(args.scenario)
     route = parse_route(args.route)
     evaluation = evaluate(route, sf.scenario, _drone_for(args, sf))
@@ -174,6 +175,10 @@ def cmd_eval(args) -> int:
 
 
 def cmd_oracle(args) -> int:
+    from .io import format_fraction, load_scenario
+    from .model import parse_route
+    from .observer import posterior_matrix
+
     sf = load_scenario(args.scenario)
     route = parse_route(args.route)
     posterior = posterior_matrix(route, sf.scenario)
@@ -185,6 +190,10 @@ def cmd_oracle(args) -> int:
 
 
 def cmd_heuristic(args) -> int:
+    from .heuristics import HeuristicParams, instantiate_template, template_for
+    from .io import load_scenario
+    from .search import evaluate
+
     sf = load_scenario(args.scenario)
     n = sf.scenario.n
     params = HeuristicParams(args.kind, n, k=args.k, l=args.l, c=args.c)
@@ -199,6 +208,9 @@ def cmd_heuristic(args) -> int:
 
 
 def cmd_pareto(args) -> int:
+    from .io import load_scenario, write_front_csv
+    from .search import pareto_front
+
     sf = load_scenario(args.scenario)
     front = pareto_front(sf.scenario, _drone_for(args, sf), objectives=args.objectives,
                          decoy_budget=args.decoy_budget)
@@ -209,13 +221,18 @@ def cmd_pareto(args) -> int:
 
 
 def cmd_sweep(args) -> int:
+    from .io import write_sweep_csv
+    from .search import min_avg_risk_sweep
+
     table = min_avg_risk_sweep(args.n, args.capacity, args.decoys)
     write_sweep_csv(table, args.out or sys.stdout)
     return EXIT_OK
 
 
 def cmd_fixtures(args) -> int:
-    results = fixture_checks.run_fixture_checks()
+    from .fixtures import run_fixture_checks
+
+    results = run_fixture_checks()
     for result in results:
         print(f"{'PASS' if result.ok else 'FAIL'} {result.name}: {result.detail}")
     failed = sum(1 for r in results if not r.ok)

@@ -13,9 +13,12 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 from .model import CustomerSite, MotionModel, Scenario, VendorSite
-from .search import ParetoFront
+
+if TYPE_CHECKING:  # annotations only: loading the search engine is left to the commands that run it
+    from .search import ParetoFront
 
 FORMAT_VERSION = 1
 

@@ -38,6 +38,7 @@ MAX_ORDERS = 7
 MAX_DECOY_BUDGET = 3
 MAX_FRONT_NODES = 20_000_000  # prefixes one pareto_front walk may visit
 MAX_WAIT_BOUND_STATES = 34_992  # the front's wait-bound table, 2n * 3^(n-1) states, at n = 8
+MAX_SWEEP_CELLS = 100_000  # (n, capacity, budget) cells one sweep table may hold
 
 RISK_OBJECTIVES = ("avg_risk", "worst_risk")
 WAIT_OBJECTIVE = "avg_wait"
@@ -514,7 +515,9 @@ def min_avg_risk_sweep(
     ``(n, (), 0, budget)``, over n; one memo per (capacity, budget) serves
     every n, and capacities past the largest n share its memo.  The exhaustive
     walk's guard is checked first, at the largest cell: the route count grows
-    with n, capacity and budget, so it is refused whenever any cell is.
+    with n, capacity and budget, so it is refused whenever any cell is.  Then
+    a table of more than ``MAX_SWEEP_CELLS`` cells is refused, before any memo
+    or row is built.
     """
     # A range is already distinct and ordered, so its ends are read without iterating it.
     n_values, c_values, d_values = (
@@ -527,6 +530,11 @@ def min_avg_risk_sweep(
         raise ValueError("sweep ranges out of bounds")
     n_max, d_max = n_values[-1], d_values[-1]
     _check_guards(n_max, d_max, min(c_values[-1], n_max), d_max)
+    # A range's length from its ends: ``len`` fails past 2^63 values.
+    cells = math.prod((v[-1] - v[0]) // v.step + 1 if isinstance(v, range) else len(v)
+                      for v in (n_values, c_values, d_values))
+    if cells > MAX_SWEEP_CELLS:
+        raise GuardError(f"sweep table of {format_count(cells)} cells refused (limit {MAX_SWEEP_CELLS:,})")
     memos = {(c, n_d): _risk_to_go(c, n_d) for c, n_d in product({min(c, n_max) for c in c_values}, d_values)}
     return {(n, c, n_d): Fraction(*memos[min(c, n_max), n_d](n, (), 0, n_d)) / n
             for n, n_d, c in product(n_values, d_values, c_values)}

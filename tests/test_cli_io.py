@@ -133,20 +133,56 @@ def test_cli_eval_prints_nothing_when_a_risk_is_too_long_to_print(tmp_path, caps
     assert err.startswith("error: Exceeds the limit (640 digits)")
 
 
-def test_cli_import_leaves_numpy_out():
-    """The package draws its maps without numpy, so starting the CLI does not load it."""
+_LOADED_MODULES = """
+import contextlib, io, sys
+if sys.argv[1:]:
+    from droneprivacy.cli import main
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        code = main(sys.argv[1:])
+    print(code)
+else:
+    import droneprivacy
+print(*sorted(name for name in sys.modules if name.startswith("droneprivacy.") or name == "numpy"))
+"""
+
+_LIBRARY_MODULES = {"errors", "geometry", "heuristics", "io", "model", "observer", "risk", "search", "fixtures"}
+
+
+def test_each_command_imports_only_the_modules_it_runs(tmp_path):
+    """A command-line run compiles and sets up only the modules its command calls into; none loads numpy,
+    and ``import droneprivacy`` alone loads no submodule."""
     import subprocess
     from pathlib import Path
 
     import droneprivacy
 
     src = str(Path(droneprivacy.__file__).resolve().parents[1])
-    proc = subprocess.run(
-        [sys.executable, "-c", "import sys, droneprivacy.cli; print('numpy' in sys.modules)"],
-        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src}, timeout=60,
-    )
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False"
+    scenario = str(tmp_path / "s.json")
+    route = "v1,v2,a1,v3,a2,a3"
+    main(["gen", "--topology", "uniform", "--n", "3", "--seed", "0", "--out", scenario])
+    runs = {
+        "import": ([], _LIBRARY_MODULES),
+        "gen": (["gen", "--topology", "linear", "--n", "3", "--out", str(tmp_path / "g.json")],
+                {"search", "risk", "observer", "heuristics", "fixtures"}),
+        "eval": (["eval", "--scenario", scenario, "--route", route, "--capacity", "2"],
+                 {"observer", "heuristics", "fixtures"}),
+        "oracle": (["oracle", "--scenario", scenario, "--route", route],
+                   {"search", "geometry", "risk", "heuristics", "fixtures"}),
+        "heuristic": (["heuristic", "--scenario", scenario, "--kind", "stuffing", "--c", "2", "--capacity", "2"],
+                      {"observer", "fixtures"}),
+        "pareto": (["pareto", "--scenario", scenario, "--capacity", "2"], {"observer", "heuristics", "fixtures"}),
+        "sweep": (["sweep", "--n", "1..3", "--capacity", "1..3"], {"observer", "heuristics", "fixtures"}),
+        "fixtures": (["fixtures"], set()),
+    }
+    for command, (args, left_out) in runs.items():
+        proc = subprocess.run([sys.executable, "-c", _LOADED_MODULES, *args], capture_output=True, text=True,
+                              env={**os.environ, "PYTHONPATH": src}, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        *code, loaded = proc.stdout.splitlines()
+        assert code == ([] if command == "import" else ["0"]), command
+        loaded = set(loaded.split())
+        assert "numpy" not in loaded, command
+        assert not loaded & {f"droneprivacy.{name}" for name in left_out}, (command, sorted(loaded))
 
 
 def test_cli_eval_prints_exact_average(tmp_path, capsys):
@@ -302,6 +338,24 @@ def test_cli_sweep_csv(tmp_path):
 
 def test_cli_sweep_bad_range_exits_2():
     assert main(["sweep", "--n", "3..1", "--capacity", "1"]) == 2
+
+
+def test_cli_sweep_refuses_a_huge_capacity_range():
+    """Seven n values times 10^11 capacities pass the route guard at n = 7 but make a table of 7 * 10^11
+    cells: refused with one line before any row is built, not iterated."""
+    import subprocess
+    from pathlib import Path
+
+    import droneprivacy
+
+    src = str(Path(droneprivacy.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-m", "droneprivacy.cli", "sweep", "--n", "1..7", "--capacity", "1..100000000000"],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src}, timeout=10,
+    )
+    assert proc.returncode == 4, proc.stderr
+    assert proc.stdout == ""
+    assert proc.stderr == "refused: sweep table of 700,000,000,000 cells refused (limit 100,000)\n"
 
 
 def test_cli_sweep_guard_exits_4():

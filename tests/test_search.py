@@ -1,6 +1,7 @@
 """Route enumeration, evaluation, Pareto fronts, and risk sweeps."""
 
 import math
+import re
 from array import array
 from fractions import Fraction as F
 
@@ -568,6 +569,27 @@ def test_sweep_refuses_huge_ranges_before_building_them(n_hi, d_hi):
     assert proc.returncode == 4, proc.stderr
     assert proc.stderr.startswith("refused: ") and proc.stderr.count("\n") == 1, proc.stderr
     assert float(proc.stdout) < 1.0
+
+
+def test_sweep_refuses_a_table_of_too_many_cells(monkeypatch):
+    """The cell count is n values * capacities * budgets, read from each range's ends without iterating it
+    (``len`` fails past 2^63), and checked before any memo or row is built."""
+    table = min_avg_risk_sweep(range(1, 3), range(1, 4), range(2))
+    assert len(table) == 12
+    monkeypatch.setattr(search, "MAX_SWEEP_CELLS", 12)
+    assert min_avg_risk_sweep(range(1, 3), range(1, 4), range(2)) == table
+    assert min_avg_risk_sweep([2, 1], [3, 1, 2, 2], [1, 0]) == table
+
+    def no_memo(*args, **kwargs):
+        raise AssertionError("the sweep built a memo before it refused")
+
+    monkeypatch.setattr(search, "_risk_to_go", no_memo)
+    with pytest.raises(GuardError, match=r"^sweep table of 15 cells refused \(limit 12\)$"):
+        min_avg_risk_sweep(range(1, 4), range(1, 6), [0])
+    monkeypatch.undo()
+    for capacities, count in [(range(1, 10**11 + 1), "700,000,000,000"), (range(10**20, 0, -1), "more than 2^69")]:
+        with pytest.raises(GuardError, match=re.escape(f"sweep table of {count} cells refused")):
+            min_avg_risk_sweep(range(1, 8), capacities, [0])
 
 
 def test_sweep_builds_one_memo_per_capacity_up_to_the_largest_n(monkeypatch):

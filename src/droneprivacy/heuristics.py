@@ -12,10 +12,14 @@ way (``n`` is the order count):
   orders, then alternate one drop / one pickup, and drain the last ``c``.
   First-in-first-out, so no order is dropped right after its pickup.
 
+``_KINDS`` gives each kind's parameters (in label and builder order) and its
+builder to the parameter check, ``label`` and ``template_for``.  The CLI
+restates the kinds as ``--kind`` choices, so other commands skip this import.
+
 ``closed_form_risks`` evaluates the known per-order risk formulas; templates
-are bound to concrete scenarios by :func:`instantiate_template`, which only
-permutes stops inside groups and therefore never changes the risk profile.
-It picks the shortest such flattening exactly, by a Held–Karp dynamic
+are bound to concrete scenarios by :func:`instantiate_template`, which keeps
+each order's closed-form risk (``relabel=True`` permutes the risks among the
+orders) and picks the shortest flattening exactly, by a Held–Karp dynamic
 program over each group's stops.
 """
 
@@ -52,23 +56,20 @@ class HeuristicParams:
     def __post_init__(self):
         if self.n < 1:
             raise ValueError("n must be at least 1")
+        if self.kind not in _KINDS:
+            raise ValueError(f"unknown heuristic kind {self.kind!r}")
+        names = _KINDS[self.kind][0]
+        if any((getattr(self, name) is None) == (name in names) for name in ("k", "l", "c")):
+            listed = " and ".join(names) if len(names) > 1 else f"{names[0]} only"
+            raise ValueError(f"{self.kind} takes {listed}")
         if self.kind == "split":
-            if self.k is None or self.l is None or self.c is not None:
-                raise ValueError("split takes k and l")
             if self.k < 1 or self.l < 1 or self.k + self.l != self.n:
                 raise ValueError("split requires k >= 1, l >= 1, k + l = n")
         elif self.kind == "reversal":
-            if self.k is None or self.l is not None or self.c is not None:
-                raise ValueError("reversal takes k only")
             if self.k < 0 or self.n < 2 * self.k:
                 raise ValueError("reversal requires 0 <= k and n >= 2k")
-        elif self.kind == "stuffing":
-            if self.c is None or self.k is not None or self.l is not None:
-                raise ValueError("stuffing takes c only")
-            if not 1 <= self.c <= self.n:
-                raise ValueError("stuffing requires 1 <= c <= n")
-        else:
-            raise ValueError(f"unknown heuristic kind {self.kind!r}")
+        elif not 1 <= self.c <= self.n:
+            raise ValueError("stuffing requires 1 <= c <= n")
 
     @property
     def required_capacity(self) -> int:
@@ -80,11 +81,7 @@ class HeuristicParams:
 
     @property
     def label(self) -> str:
-        if self.kind == "split":
-            return f"split(k={self.k},l={self.l})"
-        if self.kind == "reversal":
-            return f"reversal(k={self.k})"
-        return f"stuffing(c={self.c})"
+        return f"{self.kind}({','.join(f'{name}={getattr(self, name)}' for name in _KINDS[self.kind][0])})"
 
 
 def split_template(n: int, k: int, l: int) -> RouteTemplate:
@@ -122,12 +119,14 @@ def stuffing_template(n: int, c: int) -> RouteTemplate:
     return RouteTemplate(tuple(groups))
 
 
+_KINDS = {"split": (("k", "l"), split_template),
+          "reversal": (("k",), reversal_template),
+          "stuffing": (("c",), stuffing_template)}
+
+
 def template_for(params: HeuristicParams) -> RouteTemplate:
-    if params.kind == "split":
-        return split_template(params.n, params.k, params.l)
-    if params.kind == "reversal":
-        return reversal_template(params.n, params.k)
-    return stuffing_template(params.n, params.c)
+    names, build = _KINDS[params.kind]
+    return build(params.n, *(getattr(params, name) for name in names))
 
 
 def _vendor_group(lo: int, hi: int) -> tuple[Stop, ...]:

@@ -336,8 +336,12 @@ def test_cli_sweep_csv(tmp_path):
     assert rows[("2", "2", "0")] == "1/2"
 
 
-def test_cli_sweep_bad_range_exits_2():
+def test_cli_sweep_bad_range_exits_2(capsys):
     assert main(["sweep", "--n", "3..1", "--capacity", "1"]) == 2
+    assert "empty range '3..1'" in capsys.readouterr().err
+    for args in (["--n", "abc", "--capacity", "1"], ["--n", "3", "--capacity", "1..x"]):
+        assert main(["sweep", *args]) == 2, args
+        assert "expected N or A..B" in capsys.readouterr().err, args
 
 
 def test_cli_sweep_refuses_a_huge_capacity_range():

@@ -74,6 +74,37 @@ def test_parameter_validation(kind, kwargs):
         HeuristicParams(kind, 3, **kwargs)
 
 
+KIND_CASES = [  # (params, label, required capacity, the kind's own builder call)
+    (HeuristicParams("split", 5, k=1, l=4), "split(k=1,l=4)", 4, split_template(5, 1, 4)),
+    (HeuristicParams("reversal", 5, k=0), "reversal(k=0)", 5, reversal_template(5, 0)),
+    (HeuristicParams("reversal", 5, k=2), "reversal(k=2)", 3, reversal_template(5, 2)),
+    (HeuristicParams("stuffing", 5, c=1), "stuffing(c=1)", 1, stuffing_template(5, 1)),
+    (HeuristicParams("stuffing", 5, c=5), "stuffing(c=5)", 5, stuffing_template(5, 5)),
+]
+
+
+@pytest.mark.parametrize("params,label,capacity,template", KIND_CASES, ids=[case[1] for case in KIND_CASES])
+def test_each_kind_labels_and_builds_from_its_parameters(params, label, capacity, template):
+    assert params.label == label
+    assert params.required_capacity == capacity
+    assert template_for(params) == template
+
+
+@pytest.mark.parametrize("kind,kwargs,message", [
+    ("split", dict(k=1), "split takes k and l"),
+    ("split", dict(k=1, l=4, c=2), "split takes k and l"),
+    ("reversal", {}, "reversal takes k only"),
+    ("reversal", dict(k=1, l=4), "reversal takes k only"),
+    ("stuffing", {}, "stuffing takes c only"),
+    ("stuffing", dict(k=1, c=2), "stuffing takes c only"),
+    ("zigzag", dict(k=1), "unknown heuristic kind 'zigzag'"),
+])
+def test_parameter_messages_name_what_the_kind_takes(kind, kwargs, message):
+    with pytest.raises(ValueError) as info:
+        HeuristicParams(kind, 5, **kwargs)
+    assert str(info.value) == message
+
+
 def test_parameter_validation_rejects_no_orders():
     with pytest.raises(ValueError, match="n must be at least 1"):
         HeuristicParams("stuffing", 0, c=1)

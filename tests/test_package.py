@@ -2,6 +2,10 @@
 
 import importlib
 import inspect
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -69,3 +73,14 @@ def test_submodules_still_import_from_the_package():
 
     assert geometry is importlib.import_module("droneprivacy.geometry")
     assert search.pareto_front is droneprivacy.pareto_front
+
+
+def test_a_submodule_attribute_imports_it_on_first_read():
+    """Before anything imports ``droneprivacy.search``, reading it from the package imports it."""
+    src = str(Path(droneprivacy.__file__).resolve().parents[1])
+    code = ("import sys, droneprivacy; assert 'droneprivacy.search' not in sys.modules; "
+            "print(droneprivacy.search.pareto_front is droneprivacy.pareto_front)")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": src}, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "True\n"

@@ -12,11 +12,14 @@ routes are offered in.
 
 Pareto fronts are exact by branch and bound (Land & Doig 1960) on the same
 walk: a prefix is cut when a route already walked is no riskier than the
-prefix's risk bound (the least risk still to come) and waits strictly less
-than its wait bound (a minimum-latency dynamic program over the real stops,
-after Psaraftis 1980).  The walk itself applies both bounds against the front
-it is building.  Every route is either walked or lies under exactly one
-skipped prefix, so a front's route total is the counting recurrence's.
+prefix's risk bound and waits strictly less than its wait bound (a
+minimum-latency dynamic program over the real stops, after Psaraftis 1980).
+The risk bound is the delivered risk sum plus the least risk sum still to
+come, or the larger of the worst delivered risk and the least worst risk
+still to come; one dynamic program over payload states gives either.  The
+walk itself applies both bounds against the front it is building.  Every
+route is either walked or lies under exactly one skipped prefix, so a
+front's route total is the counting recurrence's.
 """
 
 from __future__ import annotations
@@ -197,7 +200,7 @@ def _sequences(
     visited = 0  # prefixes, counted on a bounded walk
     if front is not None:
         wait_to_go = _wait_to_go(legs, reals, custs, capacity)
-        risk_to_go = _risk_to_go(capacity, decoy_budget)
+        risk_to_go = _risk_to_go(capacity, decoy_budget, average)
         inc_waits, inc_risks = front.waits, front.risks
         # The bound adds in other orders than the walk's sum(waits) / n (in order position): ``done``
         # sums the delivered waits in delivery order.  The slack covers both differences.
@@ -224,18 +227,19 @@ def _sequences(
                 fn, fd = inc_risks[i - 1].numerator, inc_risks[i - 1].denominator
                 if fn * rd <= rn * fd:
                     return
-                if average:  # the delivered risk sum alone does not cut; add the least to come
-                    held = picked ^ dropped
-                    ratios = []
-                    for _, pos, bit in reals:
-                        if held & bit:
-                            num, den = pn * pickup_d[pos], pd * pickup_n[pos]
-                            g = math.gcd(num, den)
-                            ratios.append((num // g, den // g))
-                    ratios.sort()
-                    tn, td = risk_to_go(remaining - aboard, tuple(ratios), frozen if aboard else 0, decoys_left)
-                    if fn * rd * td <= (rn * td + tn * rd) * fd:
-                        return
+                # The least risk still to come: the final risk sum is at least the delivered sum plus it,
+                # and the final worst risk at least the larger of the delivered worst and it.
+                held = picked ^ dropped
+                ratios = []
+                for _, pos, bit in reals:
+                    if held & bit:
+                        num, den = pn * pickup_d[pos], pd * pickup_n[pos]
+                        g = math.gcd(num, den)
+                        ratios.append((num // g, den // g))
+                ratios.sort()
+                tn, td = risk_to_go(remaining - aboard, tuple(ratios), frozen if aboard else 0, decoys_left)
+                if (fn * rd * td <= (rn * td + tn * rd) * fd) if average else (fn * td <= tn * fd):
+                    return
         if dropped == full:
             yield tuple(path), (rn, rd), sum(waits) / n
         row = legs[last]
@@ -395,16 +399,22 @@ def _wait_to_go(
     @cache
     def togo(picked, dropped, last):
         undelivered = n - dropped.bit_count()
-        best = math.inf if undelivered else 0.0
+        if not undelivered:
+            return 0.0
+        best = math.inf
         row = legs[last]
         held = picked ^ dropped
         if held.bit_count() < capacity:
             for k, pos, bit in reals:
                 if not picked & bit:
-                    best = min(best, undelivered * row[k] + togo(picked | bit, dropped, k))
+                    wait = undelivered * row[k] + togo(picked | bit, dropped, k)
+                    if wait < best:
+                        best = wait
         for k, pos, bit in custs:
             if held & bit:
-                best = min(best, undelivered * row[k] + togo(picked, dropped | bit, k))
+                wait = undelivered * row[k] + togo(picked, dropped | bit, k)
+                if wait < best:
+                    best = wait
         return best
 
     return togo
@@ -415,15 +425,19 @@ def _reduced(num: int, den: int) -> tuple[int, int]:
     return num // g, den // g
 
 
-def _risk_to_go(capacity: int, decoy_budget: int) -> Callable[..., tuple[int, int]]:
-    """``togo(unpicked, ratios, frozen, decoys_left)``: the least risk sum the undelivered orders can get.
+def _risk_to_go(capacity: int, decoy_budget: int, average: bool = True) -> Callable[..., tuple[int, int]]:
+    """``togo(unpicked, ratios, frozen, decoys_left)``: the least risk the undelivered orders can get.
 
-    The arguments are a prefix's canonical payload state: the number of
-    unpicked orders, the sorted survivor ratios of the items aboard (each a
-    reduced pair: how much the survivor product of :func:`_sequences` grew
-    since the item's pickup), the current customer run's frozen payload (0
-    outside a run or with nothing aboard) and the decoys left.  The moves and
-    their risks are the walk's; the result is exact, a reduced pair.
+    That is the least risk sum if ``average``, else the least worst risk
+    (the smallest possible largest risk among them).  The arguments are a
+    prefix's canonical payload state: the number of unpicked orders, the
+    sorted survivor ratios of the items aboard (each a reduced pair: how
+    much the survivor product of :func:`_sequences` grew since the item's
+    pickup), the current customer run's frozen payload (0 outside a run or
+    with nothing aboard) and the decoys left.  The moves and their risks are
+    the walk's: a delivery adds its risk to the least sum to come, or keeps
+    the larger of it and the least worst to come.  The result is exact, a
+    reduced pair.
     """
     @cache
     def togo(unpicked, ratios, frozen, decoys_left):
@@ -443,7 +457,10 @@ def _risk_to_go(capacity: int, decoy_budget: int) -> Callable[..., tuple[int, in
                 continue  # the same ratio again: the same completions
             rest = ratios[:j] + ratios[j + 1:]
             tn, td = togo(unpicked, rest, run if rest else 0, decoys_left)
-            options.append(_reduced(a * td + tn * b * run, b * run * td))
+            if average:
+                options.append(_reduced(a * td + tn * b * run, b * run * td))
+            else:  # this delivery's risk or the worst still to come, whichever is larger
+                options.append(_reduced(a, b * run) if a * td >= tn * b * run else (tn, td))
         best = options[0]
         for other in options[1:]:
             if other[0] * best[1] < best[0] * other[1]:

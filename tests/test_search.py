@@ -28,7 +28,7 @@ from droneprivacy import (
 )
 from droneprivacy import search
 from droneprivacy.errors import factorial_count, format_count
-from droneprivacy.search import _route_counter, _sequences
+from droneprivacy.search import _risk_to_go, _route_counter, _sequences
 from conftest import brute_force_routes, exhaustive_front, exhaustive_sweep, max_load
 
 TOPOLOGIES = ("uniform", "two_clusters", "hub_spoke", "linear")
@@ -306,10 +306,11 @@ def test_pruned_front_equals_the_exhaustive_front_at_the_decoy_budget_limit(n, o
 # Seed-0 fronts: (topology, n, decoys, budget, capacity, objective, prefixes visited, routes walked).
 CUT_STRENGTH = [
     ("two_clusters", 6, 0, 0, 3, "avg_risk", 163_917, 317),
-    ("two_clusters", 6, 0, 0, 3, "worst_risk", 1_744, 175),
+    ("two_clusters", 6, 0, 0, 3, "worst_risk", 1_024, 91),
     ("uniform", 5, 2, 2, 3, "avg_risk", 33_534, 1_117),
     ("linear", 6, 1, 1, 6, "avg_risk", 114_179, 997),
     ("hub_spoke", 6, 0, 0, 2, "avg_risk", 6_826, 123),
+    ("linear", 6, 0, 0, 6, "worst_risk", 11_779, 130),
 ]
 
 
@@ -398,13 +399,15 @@ def test_walker_state_and_sweep_match_the_per_route_path(n):
     (which routes those are is checked by the enumeration tests above).  The same
     per-route risks give the brute-force minima that every min_avg_risk_sweep cell (n, c <= 4,
     d <= 2) must equal: the routes of abstract_scenario(n, d) are the grid's routes whose decoy ids
-    are all at most d.
+    are all at most d.  The least worst risk per cell must equal the worst mode of _risk_to_go from
+    the start state, which the worst-risk front's bound reads.
     """
     motion = MotionModel()
     grid, spread = abstract_scenario(n, n_decoys=2), generate("uniform", n, n_decoys=2, seed=n)
     fingerprints = array("q")  # hash of both walks' objectives on the generated map, in full-walk order
     fits = []  # (peak, decoys used) per route of the full walk
     least: dict[tuple[int, int], F] = {}  # (peak, largest decoy id used) -> least average risk
+    least_worst: dict[tuple[int, int], F] = {}  # the same keys -> least worst risk
     full_walks = zip(_both_walks(grid, n, 2, motion), _both_walks(spread, n, 2, motion), strict=True)
     for on_grid, on_spread in full_walks:
         (seq, (sum_nu, sum_de), wait), (worst_seq, (worst_nu, worst_de), worst_wait) = on_grid
@@ -423,6 +426,7 @@ def test_walker_state_and_sweep_match_the_per_route_path(n):
         fits.append((peak, len(decoy_ids)))
         key = (peak, max(decoy_ids, default=0))
         least[key] = min(report.average, least.get(key, report.average))
+        least_worst[key] = min(report.worst_case, least_worst.get(key, report.worst_case))
     assert len(fingerprints) == route_count_upper_bound(n, 2)
 
     for capacity in range(1, n + 1):
@@ -436,8 +440,11 @@ def test_walker_state_and_sweep_match_the_per_route_path(n):
     table = min_avg_risk_sweep([n], range(1, 5), range(3))
     for c in range(1, 5):
         for n_d in range(3):
-            brute = min(risk for (peak, top_decoy), risk in least.items() if peak <= c and top_decoy <= n_d)
-            assert table[(n, c, n_d)] == brute, (c, n_d)
+            fits_cell = [key for key in least if key[0] <= c and key[1] <= n_d]
+            assert table[(n, c, n_d)] == min(least[key] for key in fits_cell), (c, n_d)
+            worst = _risk_to_go(c, n_d, average=False)(n, (), 0, n_d)
+            assert F(*worst) == min(least_worst[key] for key in fits_cell), (c, n_d)
+            assert worst == (F(*worst).numerator, F(*worst).denominator)  # a reduced pair
 
 
 def test_walker_state_matches_the_per_route_path_on_every_n5_route():

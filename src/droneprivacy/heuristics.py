@@ -19,28 +19,31 @@ restates the kinds as ``--kind`` choices, so other commands skip this import.
 ``closed_form_risks`` evaluates the known per-order risk formulas; templates
 are bound to concrete scenarios by :func:`instantiate_template`, which keeps
 each order's closed-form risk (``relabel=True`` permutes the risks among the
-orders) and picks the shortest flattening exactly, by a Held–Karp dynamic
-program over each group's stops.
+orders) and picks the shortest flattening exactly, by one Held–Karp dynamic
+program over the groups' stops.  With ``relabel=True`` the same program also
+decides, group by group, which scenario order takes each abstract order's
+place, so the ``n!`` order assignments are never tried one by one.
+:func:`template_dp_steps` bounds its steps from the template alone, for the
+guard.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import itemgetter
 from typing import Literal
 
-from .errors import GuardError, factorial_count, format_count
+from .errors import GuardError, format_count
 from .model import DroneSpec, Route, RouteTemplate, Scenario, Stop, require_valid
 from .risk import RiskReport
 
 HeuristicKind = Literal["split", "reversal", "stuffing"]
 
 MAX_TEMPLATE_DP_STEPS = 10**7
-"""Instantiation is refused when the group-wise DP would take more steps than this (sum of 2^g * g^2,
-times ``n!`` for a relabeling search, which runs one DP per order assignment)."""
+"""Instantiation is refused when :func:`template_dp_steps` bounds the group-wise DP's steps above this:
+aggregation up to n = 14 passes either way, and a relabeling search admits stuffing(3) up to n = 12."""
 
 
 @dataclass(frozen=True)
@@ -191,43 +194,97 @@ def instantiate_template(
     vendor, a repeated or missing stop, more items aboard than the capacity)
     raises ``ValueError``.  The within-group orderings are chosen by a
     Held–Karp dynamic program (Held & Karp 1962) run group by group in template
-    order, so the returned flattening has exactly minimal total travel.  Each
-    DP state keeps its least (length so far, stop sequence) prefix, so results
-    are reproducible and prefixes of equal length go to the smaller stop
-    sequence; when two prefixes of different lengths reach equal totals only
-    after rounding, the route returned is still a shortest one but may not be
-    the lexicographically smallest.  The DP takes up to ``2^g * g^2`` steps
-    per group of ``g`` stops, and a template past ``MAX_TEMPLATE_DP_STEPS`` in
-    total (aggregation beyond 14 orders) raises :class:`GuardError` before
-    the search.
+    order, so the returned flattening has exactly minimal total travel.  A DP
+    state is the orders' statuses (unpicked, delivered, or aboard since a
+    given vendor group), the decoys used and the last stop.  Each state keeps
+    its least (length so far, stop sequence) prefix, so results are
+    reproducible and prefixes of equal length go to the smaller stop sequence;
+    when two prefixes of different lengths reach equal totals only after
+    rounding, the route returned is still a shortest one but may not be the
+    lexicographically smallest.
 
-    With ``relabel=True`` the abstract-to-scenario order assignment itself is
-    also searched (all ``n!`` relabelings, one DP each).  That search raises
-    :class:`GuardError` when ``n!`` times the DP's steps exceeds
-    ``MAX_TEMPLATE_DP_STEPS``.
+    With ``relabel=True`` the abstract-to-scenario order assignment is searched
+    in the same DP, decided group by group: any unpicked order may fill a
+    vendor group's slots, and a customer group may drop any order aboard whose
+    vendor group still has drops in it (the template's count of orders from
+    that vendor group to that customer group).  The route is the shortest over
+    all ``n!`` relabelings, the one a search of each in turn would return (up
+    to the rounding ties above); its risks are the template's, permuted among
+    the orders.
+
+    :func:`template_dp_steps` bounds the DP's steps from the template alone
+    (``2^g * g^2`` per group of ``g`` stops without relabeling); past
+    ``MAX_TEMPLATE_DP_STEPS`` this raises :class:`GuardError` with that count,
+    before the search.  Aggregation passes up to 14 orders either way, and a
+    relabeled stuffing(3) up to 12.
     """
-    n = scenario.n
-    for group in template.groups:
-        for stop in group:
-            bound = n if stop.kind != "d" else scenario.n_decoys
-            if not 1 <= stop.sid <= bound:
-                raise ValueError(f"template stop {stop.token} has no counterpart in the scenario")
-    # Validity depends neither on the order inside a group nor on the relabeling, so one flattening
-    # checks them all.
-    identity = tuple(range(n))
-    require_valid(Route(tuple(_bind_stop(s, scenario, identity) for s in template.flatten().stops)),
-                  scenario, drone)
-    steps = sum(g * g << g for g in template.group_sizes)  # 2^g * g states per group, each extended <= g ways
-    work = steps * (factorial_count(n) if relabel else 1)  # relabeling runs one DP per order assignment
-    if work > MAX_TEMPLATE_DP_STEPS:
-        over = f" over {n}! order assignments" if relabel else ""
-        raise GuardError(f"template instantiation refused: {format_count(work)} dynamic-program steps{over} "
-                         f"(limit {MAX_TEMPLATE_DP_STEPS:,})")
+    return _instantiate(template, scenario, drone, relabel)[0]
 
+
+def template_dp_steps(template: RouteTemplate, *, relabel: bool = False) -> int:
+    """An upper bound on the steps of :func:`instantiate_template`'s DP, from the template alone.
+
+    A group counts the order statuses at each of its progress points, times
+    the last stops a state there can hold, times the most ways a state in the
+    group is extended.  Without relabeling a progress point is a subset of the
+    group's ``g`` stops with one status each, and both factors are ``g``:
+    ``2^g * g^2`` per group.  With relabeling the statuses at a point number a
+    multinomial in the counts of unpicked, delivered and aboard-per-vendor-group
+    orders, which the template fixes.  A state at a group's start ends where
+    the previous group's did; past it, a vendor group's states end at one of
+    its own stops and extend to an unpicked order or one of its decoys, and a
+    customer group's end at any delivered order and extend to an order aboard
+    from a vendor group that drops in it.
+    """
     if not relabel:
-        return _instantiate_with_mapping(template, scenario, identity)[1]
-    found = (_instantiate_with_mapping(template, scenario, m) for m in itertools.permutations(range(n)))
-    return min(found, key=itemgetter(0))[1]  # the least (length, stop sort keys), legs summed in route order
+        return sum(g * g << g for g in template.group_sizes)
+    n = sum(s.kind == "v" for group in template.groups[::2] for s in group)
+    fact = [1]  # fact[m] = m!
+    for m in range(1, n + 1):
+        fact.append(fact[-1] * m)
+    unpicked, delivered = n, 0
+    picked_in = {}  # template order -> the vendor group that picks it
+    aboard = {}  # vendor group -> its orders picked and not yet dropped, while there are any
+    steps, before = 0, 1  # the last stops a state may hold at the group's start: the empty route's None
+    for gi, group in enumerate(template.groups):
+        g = len(group)
+        orders = [s.sid for s in group if s.kind != "d"]
+        if gi % 2 == 0:  # any unpicked order may take one of the group's slots, or a decoy
+            picked_in.update(dict.fromkeys(orders, gi))
+            decoys = g - len(orders)
+            kept, pools, into = [delivered, *aboard.values()], [(unpicked, len(orders))], 0
+            lasts, fan_out = g, unpicked + decoys
+            unpicked -= len(orders)
+            aboard[gi] = len(orders)
+        else:  # an order aboard from a vendor group with drops left here may be dropped
+            decoys, drops = 0, Counter(picked_in[o] for o in orders)
+            pools = [(aboard[k], count) for k, count in drops.items()]
+            kept, into = [unpicked, *(m for k, m in aboard.items() if k not in drops)], delivered
+            lasts, fan_out = delivered + g, sum(size for size, _ in pools)
+            delivered += g
+            for k, count in drops.items():
+                aboard[k] -= count
+                if not aboard[k]:
+                    del aboard[k]
+        statuses = _statuses(fact, kept, pools, into)
+        placed = (sum(statuses) << decoys) - statuses[0]  # the statuses past the group's start
+        steps += (statuses[0] * before + placed * lasts) * fan_out
+        before = lasts
+    return steps
+
+
+def _statuses(fact: list[int], kept: list[int], pools: list[tuple[int, int]], into: int) -> list[int]:
+    """The order statuses at a group's progress points, by the number r of orders it has moved: over
+    every ``r_i <= take_i`` adding up to r, the multinomial of the ``len(fact) - 1`` orders into the
+    ``kept`` class sizes, the pools' ``size_i - r_i`` and ``into + r``, the class it moves them into.
+    ``fact[m]`` is ``m!``."""
+    ways = [1]  # ways[r]: the sum over the r_i that add up to r of prod(size_i! / (size_i - r_i)!)
+    for size, take in pools:
+        falling = [fact[size] // fact[size - r] for r in range(take + 1)]
+        ways = [sum(ways[r - i] * falling[i] for i in range(take + 1) if 0 <= r - i < len(ways))
+                for r in range(len(ways) + take)]
+    fixed = math.prod(fact[m] for m in kept) * math.prod(fact[size] for size, _ in pools)
+    return [fact[-1] * w // (fixed * fact[into + r]) for r, w in enumerate(ways)]
 
 
 def _bind_stop(stop: Stop, scenario: Scenario, mapping: tuple[int, ...]) -> Stop:
@@ -238,34 +295,99 @@ def _bind_stop(stop: Stop, scenario: Scenario, mapping: tuple[int, ...]) -> Stop
     return Stop("d", scenario.decoy_ids[stop.sid - 1])
 
 
-def _instantiate_with_mapping(
-    template: RouteTemplate,
-    scenario: Scenario,
-    mapping: tuple[int, ...],
-) -> tuple[tuple[float, tuple], Route]:
-    groups = [[_bind_stop(s, scenario, mapping) for s in group] for group in template.groups]
-    stop_of = {s.sort_key: s for group in groups for s in group}
-    xy = {key: scenario.coords[s.kind, s.sid] for key, s in stop_of.items()}
+def _instantiate(
+    template: RouteTemplate, scenario: Scenario, drone: DroneSpec, relabel: bool
+) -> tuple[Route, int]:
+    """:func:`instantiate_template`'s route, and the steps its DP took."""
+    n = scenario.n
+    for group in template.groups:
+        for stop in group:
+            bound = n if stop.kind != "d" else scenario.n_decoys
+            if not 1 <= stop.sid <= bound:
+                raise ValueError(f"template stop {stop.token} has no counterpart in the scenario")
+    # Validity depends neither on the order inside a group nor on the relabeling, so one flattening
+    # checks them all.  Its stops are every order's vendor and customer and the template's decoys.
+    flat = template.flatten().stops
+    identity = tuple(range(n))
+    bound = [_bind_stop(s, scenario, identity) for s in flat]
+    require_valid(Route(tuple(bound)), scenario, drone)
+    steps = template_dp_steps(template, relabel=relabel)
+    if steps > MAX_TEMPLATE_DP_STEPS:
+        how = " relabeling the orders" if relabel else ""
+        raise GuardError(f"template instantiation refused: {format_count(steps)} dynamic-program steps{how} "
+                         f"(limit {MAX_TEMPLATE_DP_STEPS:,})")
+
+    site = {"v": {}, "a": {}, "d": {}}  # kind -> template index - 1 -> (sort key, x, y) of its bound stop
+    stop_of, xy = {}, {}  # sort key -> stop, and -> (x, y)
+    for stop, placed in zip(flat, bound):
+        key = placed.sort_key
+        stop_of[key] = placed
+        xy[key] = scenario.coords[placed.kind, placed.sid]
+        site[stop.kind][stop.sid - 1] = (key, *xy[key])
+    # A status is one int: bit o for "order o picked", bit n + j for "decoy j used", and n bits from
+    # aboard_at + k * n on for the orders aboard since vendor group k.  A move is (test, want, delta,
+    # stop key, x, y): it may be taken while ``status & test == want``, and adds ``delta``.
+    full = (1 << n) - 1
+    aboard_at = n + scenario.n_decoys
+
+    def pick(o, at):
+        return (1 << o, 0, 1 << o | 1 << (at + o), *site["v"][o])
+
+    def drop(o, at):
+        bit = 1 << (at + o)
+        return (bit, bit, -bit, *site["a"][o])
+
+    def use(j):
+        bit = 1 << (n + j)
+        return (bit, 0, bit, *site["d"][j])
+
+    picked_in = {}  # template order -> the first aboard bit of the vendor group that picks it
+    aboard = {}  # a vendor group's first aboard bit -> its orders still aboard at the current group's start
     # A prefix is (length so far, stop sort keys).  Legs are added in route order from 0.0, so each
     # length is the float that summing the full flattening's legs first to last would compute.
-    ends = {None: (0.0, ())}  # the previous group's full states: last stop -> least prefix
-    for group in groups:
-        keys = [s.sort_key for s in group]
-        full = (1 << len(keys)) - 1
-        states = {0: ends}  # placed-stop mask -> last stop -> least prefix
-        for mask in range(full):  # each mask is complete before it is extended
-            for length, seq in states.pop(mask).values():
-                for bit, key in enumerate(keys):
-                    if mask >> bit & 1:
+    layer = {0: {None: (0.0, ())}}  # status -> last stop -> least prefix
+    taken = 0
+    for gi, group in enumerate(template.groups):
+        orders = [s.sid - 1 for s in group if s.kind != "d"]
+        # A source is (bits, count, moves): its moves may be taken while the n bits from ``bits`` on hold
+        # other than ``count`` ones (a count of -1 never stops them).  Without relabeling the group's
+        # own orders take its places, each once, so nothing needs counting.
+        if gi % 2 == 0:
+            at = aboard_at + gi // 2 * n
+            picked_in.update(dict.fromkeys(orders, at))
+            decoys = [use(s.sid - 1) for s in group if s.kind == "d"]
+            if relabel:  # any unpicked order may take one of the group's slots
+                aboard[at] = len(orders)
+                sources = [(0, -1, decoys), (at, len(orders), [pick(o, at) for o in range(n)])]
+            else:
+                sources = [(0, -1, decoys + [pick(o, at) for o in orders])]
+        elif relabel:  # any order aboard from a vendor group with drops left here may be dropped
+            sources = []
+            for at, count in Counter(picked_in[o] for o in orders).items():
+                aboard[at] -= count
+                sources.append((at, aboard[at], [drop(o, at) for o in range(n)]))
+        else:
+            sources = [(0, -1, [drop(o, picked_in[o]) for o in orders])]
+        for _ in group:
+            nxt = {}
+            for status, lasts in layer.items():
+                targets = []
+                for bits, count, moves in sources:
+                    if (status >> bits & full).bit_count() != count:
+                        targets += [(nxt.setdefault(status + delta, {}), key, x, y)
+                                    for test, want, delta, key, x, y in moves if status & test == want]
+                taken += len(targets) * len(lasts)
+                for last, (length, seq) in lasts.items():
+                    if last is None:  # the route's first stop
+                        for slot, key, _, _ in targets:
+                            slot[key] = (0.0, (key,))
                         continue
-                    if seq:
-                        (px, py), (x, y) = xy[seq[-1]], xy[key]
+                    px, py = xy[last]
+                    for slot, key, x, y in targets:
                         step = (length + math.hypot(x - px, y - py), seq + (key,))
-                    else:
-                        step = (0.0, (key,))
-                    slot = states.setdefault(mask | 1 << bit, {})
-                    if key not in slot or step < slot[key]:
-                        slot[key] = step
-        ends = states[full]
-    best = min(ends.values())
-    return best, Route(tuple(map(stop_of.__getitem__, best[1])))
+                        if key not in slot or step < slot[key]:
+                            slot[key] = step
+            layer = nxt
+    (lasts,) = layer.values()
+    best = min(lasts.values())
+    return Route(tuple(map(stop_of.__getitem__, best[1]))), taken

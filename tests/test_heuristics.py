@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import random
 from fractions import Fraction as F
 
 import pytest
@@ -30,7 +31,9 @@ from droneprivacy import (
     wait_times,
 )
 
-from conftest import exhaustive_instantiation, travel_length
+from droneprivacy.heuristics import _instantiate, template_dp_steps
+
+from conftest import exhaustive_instantiation, random_valid_route, run_segments, travel_length
 
 TOPOLOGIES = ("uniform", "two_clusters", "linear", "hub_spoke")
 
@@ -303,14 +306,80 @@ def test_group_dp_matches_the_exhaustive_search_with_decoy_groups():
         assert {s.token for s in route.stops if s.kind == "d"} == {"d1", "d2"}
 
 
+def _relabeled_by_exhaustion(template, scenario):
+    """The shortest flattening over every order relabeling, each searched exhaustively; ties go to the
+    smaller stop sequence (the relabeling DP's oracle)."""
+    found = (exhaustive_instantiation(template, scenario, mapping)
+             for mapping in itertools.permutations(range(scenario.n)))
+    return min(found, key=lambda route: (travel_length(route.stops, scenario), route.sort_key))
+
+
+def _random_templates(count, rng):
+    """Random templates of n <= 5 orders with decoy stops: the vendor and customer runs of random valid
+    routes, each with a generated map of its sizes; those whose exhaustive relabeling oracle takes more
+    than 30,000 flattenings are skipped."""
+    found = []
+    while len(found) < count:
+        n, n_decoys = rng.randint(1, 5), rng.randint(1, 2)
+        route = random_valid_route(abstract_scenario(n, n_decoys), n, n_decoys, rng)
+        template = RouteTemplate(tuple(route.stops[a:b] for a, b in run_segments(route)))
+        if math.factorial(n) * _joint_orderings(template) <= 30_000:
+            found.append((template, generate(rng.choice(TOPOLOGIES), n, n_decoys, seed=rng.randrange(10))))
+    return found
+
+
 def test_relabeled_dp_matches_the_exhaustive_search():
     scenario = generate("two_clusters", 4, seed=5)
     template = stuffing_template(4, 2)
-    expected = min(
-        (exhaustive_instantiation(template, scenario, mapping) for mapping in itertools.permutations(range(4))),
-        key=lambda route: (travel_length(route.stops, scenario), route.sort_key),
-    )
+    expected = _relabeled_by_exhaustion(template, scenario)
     assert instantiate_template(template, scenario, DroneSpec(capacity=2), relabel=True) == expected
+
+
+@pytest.mark.parametrize("n", range(1, 5))
+def test_relabeled_dp_matches_the_search_over_every_relabeling(n):
+    """One DP over open orders returns the route that the best of the n! exhaustive searches does."""
+    maps = [generate(topology, n, seed=seed) for topology in TOPOLOGIES for seed in range(2)]
+    drone = DroneSpec(capacity=n)
+    for template, scenario in itertools.product(_grid(n), maps):
+        expected = _relabeled_by_exhaustion(template, scenario)
+        assert instantiate_template(template, scenario, drone, relabel=True) == expected, (template, scenario)
+
+
+def test_relabeled_dp_matches_the_search_over_every_relabeling_with_decoys():
+    cases = _random_templates(40, random.Random(11))
+    assert sum(any(s.kind == "d" for s in t.flatten().stops) for t, _ in cases) >= 30
+    for template, scenario in cases:
+        drone = DroneSpec(capacity=scenario.n)
+        expected = _relabeled_by_exhaustion(template, scenario)
+        assert instantiate_template(template, scenario, drone, relabel=True) == expected, (template, scenario)
+        assert instantiate_template(template, scenario, drone) == exhaustive_instantiation(
+            template, scenario, tuple(range(scenario.n))), (template, scenario)
+
+
+def test_relabeled_dp_drops_each_vendor_groups_share_in_each_customer_group():
+    """The middle customer group drops one order picked in each vendor group.  Dropping two from the first
+    (and both of the second's last) would be a valid route of another template, often a shorter one: the
+    relabeling search must count each vendor group's drops, and so keep the template's risks."""
+    groups = "v1,v2,v3|a1|v4,v5|a2,a4|d1|a3,a5".split("|")
+    template = RouteTemplate(tuple(parse_route(group).stops for group in groups))
+    drone = DroneSpec(capacity=5)
+    for scenario in [generate(topology, 5, 1, seed=seed) for topology in TOPOLOGIES for seed in range(3)]:
+        route = instantiate_template(template, scenario, drone, relabel=True)
+        assert route == _relabeled_by_exhaustion(template, scenario), scenario
+        identity = instantiate_template(template, scenario, drone)
+        assert sorted(privacy_risks(route, scenario).risks) == sorted(privacy_risks(identity, scenario).risks)
+
+
+@pytest.mark.parametrize("relabel", [False, True])
+def test_the_guard_count_bounds_the_steps_taken(relabel):
+    """``template_dp_steps`` is never below the steps the DP takes, so never below the states it keeps
+    (each is reached by a step), on every grid template up to n = 5 and on random ones with decoys."""
+    cases = [(template, generate(topology, n, seed=0))
+             for n in range(1, 6) for template in _grid(n) for topology in TOPOLOGIES]
+    cases += _random_templates(40, random.Random(12))
+    for template, scenario in cases:
+        steps = _instantiate(template, scenario, DroneSpec(capacity=scenario.n), relabel)[1]
+        assert template_dp_steps(template, relabel=relabel) >= steps, template
 
 
 def _nearest_neighbour(template, scenario):
@@ -354,7 +423,7 @@ def test_oversized_templates_are_refused_before_the_search():
         instantiate_template(reversal_template(25, 0), scenario, DroneSpec(capacity=25))
     with pytest.raises(GuardError, match=r"more than 2\^216 dynamic-program steps"):
         instantiate_template(reversal_template(200, 0), abstract_scenario(200), DroneSpec(capacity=200))
-    # n = 15 is the first aggregation past the limit (n = 14 takes 6,422,528 steps, about 2 s).
+    # n = 15 is the first aggregation past the limit (n = 14 takes 6,422,528 steps, under 1 s).
     with pytest.raises(GuardError, match="14,745,600 dynamic-program steps"):
         instantiate_template(reversal_template(15, 0), abstract_scenario(15), DroneSpec(capacity=15))
     assert time.perf_counter() - start < 1.0
@@ -375,40 +444,45 @@ def test_relabeling_can_only_shorten_travel():
     ).risks
 
 
-def test_relabeling_guard():
-    scenario = abstract_scenario(9)
-    template = RouteTemplate((
-        tuple(Stop("v", i + 1) for i in range(9)),
-        tuple(Stop("a", i + 1) for i in range(9)),
-    ))
-    with pytest.raises(GuardError):
-        instantiate_template(template, scenario, DroneSpec(capacity=9), relabel=True)
-
-
-def test_relabeling_guard_bounds_the_work_not_n():
-    """n = 8 passes an n-only bound, but split(4,4) would take 8! DPs of 4 * 2^4 * 4^2 steps: refused up front."""
+def test_relabeling_guard_refuses_past_the_limit_with_its_count():
+    """Relabeled stuffing(3) at n = 13 is bounded by 22,785,256 DP steps, past the limit: a GuardError
+    with that count, at once, and so at n = 1,000.  Without relabeling it is bounded by 184 steps."""
     import time
 
     start = time.perf_counter()
-    with pytest.raises(GuardError, match="41,287,680 dynamic-program steps"):
-        instantiate_template(split_template(8, 4, 4), abstract_scenario(8), DroneSpec(capacity=4),
+    scenario = generate("uniform", 13, seed=0)
+    with pytest.raises(GuardError, match="22,785,256 dynamic-program steps relabeling the orders"):
+        instantiate_template(stuffing_template(13, 3), scenario, DroneSpec(capacity=3), relabel=True)
+    with pytest.raises(GuardError, match=r"more than 2\^1036 dynamic-program steps relabeling the orders"):
+        instantiate_template(stuffing_template(1000, 3), abstract_scenario(1000), DroneSpec(capacity=3),
                              relabel=True)
     assert time.perf_counter() - start < 1.0
-    # n = 5 stuffing(c=3) takes 5! DPs of 2 * (2^3 * 3^2) + 4 * 2 = 152 steps, 18,240 in all: allowed.
-    route = instantiate_template(stuffing_template(5, 3), abstract_scenario(5), DroneSpec(capacity=3),
-                                 relabel=True)
-    assert sorted(privacy_risks(route, abstract_scenario(5)).risks) == sorted(
-        closed_form_risks(HeuristicParams("stuffing", 5, c=3)).risks
-    )
+    assert template_dp_steps(stuffing_template(13, 3)) == 184
+    assert validate_route(instantiate_template(stuffing_template(13, 3), scenario, DroneSpec(capacity=3)),
+                          scenario, DroneSpec(capacity=3)).ok
+
+
+def test_relabeled_stuffing_is_searched_at_n9():
+    """Relabeled stuffing(3) at n = 9 (9! relabelings) is bounded by 290,304 steps, and split(4,4) at n = 8
+    by 45,128.  Each keeps the template's risks and is no longer than the identity's route."""
+    for params in (HeuristicParams("stuffing", 9, c=3), HeuristicParams("split", 8, k=4, l=4)):
+        scenario = generate("uniform", params.n, seed=0)
+        drone = DroneSpec(capacity=params.required_capacity)
+        route = instantiate_template(template_for(params), scenario, drone, relabel=True)
+        assert sorted(privacy_risks(route, scenario).risks) == sorted(closed_form_risks(params).risks)
+        identity = instantiate_template(template_for(params), scenario, drone)
+        assert travel_length(route.stops, scenario) <= travel_length(identity.stops, scenario)
 
 
 def test_relabeled_aggregation_is_searched_at_n5():
-    """Aggregation at n = 5 relabels in 5! DPs of 2 * 2^5 * 5^2 steps (192,000 in all), within the limit.
+    """Aggregation at n = 5 relabels in one DP bounded by 1,580 steps, within the 2 * 2^5 * 5^2 = 1,600
+    that bound it without relabeling.
 
     Every relabeling of aggregation flattens to the same routes, so the search returns the identity's.
     """
     scenario = generate("uniform", 5, seed=0)
     drone = DroneSpec(capacity=5)
     template = reversal_template(5, 0)
+    assert (template_dp_steps(template, relabel=True), template_dp_steps(template)) == (1_580, 1_600)
     assert instantiate_template(template, scenario, drone, relabel=True) == instantiate_template(
         template, scenario, drone)

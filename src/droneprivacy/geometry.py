@@ -44,10 +44,17 @@ def wait_times(route: Route, scenario: Scenario, motion: MotionModel | DroneSpec
     """
     if check:
         require_valid(route, scenario)
-    waits = tuple(order_waits(route.stops, scenario, motion))
+    return WaitReport(*wait_summary(route.stops, scenario, motion), scenario.customer_ids)
+
+
+def wait_summary(stops: Sequence[Stop], scenario: Scenario,
+                 motion: MotionModel | DroneSpec) -> tuple[tuple[float, ...], float]:
+    """The waits of a valid stop sequence in order position and their mean: a :class:`WaitReport`'s
+    fields without the report.  Raises ``ValueError`` when the mean overflows to infinity."""
+    waits = tuple(order_waits(stops, scenario, motion))
     if not math.isfinite(average := sum(waits) / len(waits)):
         raise ValueError(f"the route's average wait is {average}: its legs are too long to time")
-    return WaitReport(waits=waits, average=average, customer_ids=scenario.customer_ids)
+    return waits, average
 
 
 def order_waits(stops: Sequence[Stop], scenario: Scenario, motion: MotionModel | DroneSpec) -> list[float]:

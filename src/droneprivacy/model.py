@@ -215,13 +215,6 @@ class Scenario:
         """(vendor, customer) pairs in order position."""
         return tuple((self._sites["v", c.vendor_id], c) for c in self.customers)
 
-    def site_for(self, stop: Stop):
-        """Resolve a stop to its site; the stop kind must match the site kind."""
-        site = self._sites.get((stop.kind, stop.sid))
-        if site is None:
-            raise UnknownIdError(f"scenario has no site for stop {stop.token}")
-        return site
-
 
 def abstract_scenario(n: int, n_decoys: int = 0) -> Scenario:
     """Placeholder scenario for structure-only work: orders 1..n, decoys 1..n_decoys.
@@ -285,31 +278,35 @@ def validate_route(route: Route, scenario: Scenario, drone: DroneSpec | None = N
     seen_decoy: set[int] = set()
     seen_cust: set[int] = set()
     aboard = 0
+    sites = scenario._sites
     for idx, stop in enumerate(route.stops):
-        site = scenario.site_for(stop)  # raises UnknownIdError for bad ids
-        if stop.kind == "v":
-            if stop.sid in seen_real:
+        kind, sid = stop.kind, stop.sid
+        site = sites.get((kind, sid))
+        if site is None:
+            raise UnknownIdError(f"scenario has no site for stop {stop.token}")
+        if kind == "v":
+            if sid in seen_real:
                 return ValidationResult(False, "completeness", idx, f"vendor {stop.token} visited twice")
             if capacity is not None and aboard + 1 > capacity:
                 return ValidationResult(
                     False, "capacity", idx,
                     f"picking up at {stop.token} would load {aboard + 1} items (capacity {capacity})",
                 )
-            seen_real.add(stop.sid)
+            seen_real.add(sid)
             aboard += 1
-        elif stop.kind == "d":
-            if stop.sid in seen_decoy:
+        elif kind == "d":
+            if sid in seen_decoy:
                 return ValidationResult(False, "completeness", idx, f"decoy {stop.token} visited twice")
-            seen_decoy.add(stop.sid)
+            seen_decoy.add(sid)
         else:
-            if stop.sid in seen_cust:
+            if sid in seen_cust:
                 return ValidationResult(False, "completeness", idx, f"customer {stop.token} visited twice")
             if site.vendor_id not in seen_real:
                 return ValidationResult(
                     False, "precedence", idx,
                     f"customer {stop.token} visited before its vendor v{site.vendor_id}",
                 )
-            seen_cust.add(stop.sid)
+            seen_cust.add(sid)
             aboard -= 1
     if len(seen_cust) != scenario.n:
         missing = sorted(cid for cid in scenario.order_index if cid not in seen_cust)

@@ -11,7 +11,8 @@ the total probability of the worlds saying so.
 Only :func:`enumerate_worlds` is exponential: it walks every branch and is the
 brute-force reference.  :func:`posterior_matrix` counts the worlds behind each
 cell in closed form.  Neither uses the run reasoning of the fast risk
-computation, so both serve as its independent correctness oracle.
+computation (frozen payloads and survivor ratios), so both serve as its
+independent correctness oracle.
 """
 
 from __future__ import annotations
@@ -28,6 +29,8 @@ MAX_OBSERVED_ITEMS = 10
 """Both observer functions refuse a route with more than ``MAX_OBSERVED_ITEMS!`` branches, a fully
 aggregated route's count: it bounds :func:`enumerate_worlds`' walk, and the size of the denominator D
 that :func:`posterior_matrix` counts over."""
+
+_ZERO = Fraction(0)  # a posterior cell no count has filled, told apart by identity
 
 
 @dataclass(frozen=True)
@@ -62,26 +65,28 @@ class PosteriorMatrix:
         return len(self.customer_ids)
 
 
-def _drop_sizes(route: Route) -> list[int]:
-    """The payload size at each drop, phantoms included; refused when their product, the
-    branch count D, passes ``MAX_OBSERVED_ITEMS!``, so before any walk or count."""
-    sizes: list[int] = []
-    aboard = 0
-    worlds = 1  # D, which stops growing past EXACT_COUNT_BITS: refused either way
-    for stop in route.stops:
-        if stop.kind != "a":
-            aboard += 1
-        else:
-            sizes.append(aboard)
-            if worlds.bit_length() <= EXACT_COUNT_BITS:
-                worlds *= aboard
-            aboard -= 1
+def _refuse_past_the_branch_limit(worlds: int) -> None:
+    """Refuse a route whose branch count D passes ``MAX_OBSERVED_ITEMS!``; past ``EXACT_COUNT_BITS`` bits,
+    the caller's count may have stopped growing, and it is refused either way."""
     if worlds > math.factorial(MAX_OBSERVED_ITEMS):
         raise GuardError(
             f"observer enumeration over {format_count(worlds)} branches exceeds the limit of "
             f"{MAX_OBSERVED_ITEMS}! = {math.factorial(MAX_OBSERVED_ITEMS):,}"
         )
-    return sizes
+
+
+def _check_branches(route: Route) -> None:
+    """The guard alone: D is the product of the payload sizes at the drops, phantoms included."""
+    aboard = 0
+    worlds = 1  # stops growing past EXACT_COUNT_BITS: refused either way
+    for stop in route.stops:
+        if stop.kind != "a":
+            aboard += 1
+        else:
+            if worlds.bit_length() <= EXACT_COUNT_BITS:
+                worlds *= aboard
+            aboard -= 1
+    _refuse_past_the_branch_limit(worlds)
 
 
 def enumerate_worlds(route: Route, scenario: Scenario, *, check: bool = True) -> tuple[ObserverWorld, ...]:
@@ -96,7 +101,7 @@ def enumerate_worlds(route: Route, scenario: Scenario, *, check: bool = True) ->
     """
     if check:
         require_valid(route, scenario)
-    _drop_sizes(route)
+    _check_branches(route)
 
     stops = route.stops
     branches: list[tuple[tuple[int, Stop], ...]] = []
@@ -140,41 +145,66 @@ def posterior_matrix(route: Route, scenario: Scenario, *, check: bool = True) ->
     item's pickup, drop k hands that item over in ``(prod_{j<f} s_j) * (prod_{f<=j<k} (s_j - 1))
     * (prod_{j>k} s_j)`` worlds: the drops before the pickup choose freely, those in between choose
     another item, and the later drops choose freely among what is left.  No branch is walked.
+
+    The items of one vendor run (the pickups between two drops) share f, so they share every count.
+    One scan of the stops collects the payload sizes, each drop's row and the runs; the
+    ``MAX_OBSERVED_ITEMS!`` guard then refuses the route before any count.  Each run's count at each
+    later drop is computed once, as one Fraction per distinct count, and placed in every column the
+    run picked up: O(runs x drops) products instead of O(pickups x drops).
     """
     if check:
         require_valid(route, scenario)
-    sizes = _drop_sizes(route)
     column_of = scenario.vendor_column
     order_of_customer = scenario.order_index
-    cells = [[0] * len(column_of) for _ in range(scenario.n)]
+    cells = [[_ZERO] * len(column_of) for _ in range(scenario.n)]
 
-    rows: list[list[int]] = []  # each drop's row of cells
-    pickups: list[tuple[int, int]] = []  # (column, first drop after the pickup)
+    sizes: list[int] = []  # the payload size at each drop, phantoms included
+    rows: list[list[Fraction]] = []  # each drop's row of cells
+    runs: list[tuple[int, list[int]]] = []  # (first drop after a vendor run, the columns picked up in it)
+    columns = None  # the current run's columns; None after a drop
+    aboard = 0
+    worlds = 1  # D, which stops growing past EXACT_COUNT_BITS: refused either way
     for stop in route.stops:
-        if stop.kind == "a":
+        kind = stop.kind
+        if kind == "a":
+            sizes.append(aboard)
             rows.append(cells[order_of_customer[stop.sid]])
+            if worlds.bit_length() <= EXACT_COUNT_BITS:
+                worlds *= aboard
+            aboard -= 1
+            columns = None
         else:
-            pickups.append((column_of[stop.kind, stop.sid], len(rows)))
+            if columns is None:
+                columns = []
+                runs.append((len(rows), columns))
+            columns.append(column_of[kind, stop.sid])
+            aboard += 1
+    _refuse_past_the_branch_limit(worlds)
+
     m = len(sizes)
     before, after = [1] * (m + 1), [1] * (m + 1)  # products of the sizes before drop k / from drop k on
     for k in range(m):
         before[k + 1] = before[k] * sizes[k]
         after[m - 1 - k] = after[m - k] * sizes[m - 1 - k]
-    worlds = before[m]
-    for col, first in pickups:
+    denominator = worlds or 1  # no complete branch (an unchecked route): every count is 0
+    share: dict[int, Fraction] = {}  # one (immutable, so shared) Fraction per distinct count
+    for first, columns in runs:
         run = before[first]
         for k in range(first, m):
-            if not run:  # the item is handed over for sure by now, or no world exists
+            if not run:  # the run's items are handed over for sure by now, or no world exists
                 break
-            rows[k][col] += run * after[k + 1]
+            count, row = run * after[k + 1], rows[k]
+            cell = share.get(count)
+            if cell is None:
+                cell = share[count] = Fraction(count, denominator)
+            for col in columns:
+                # A cell filled twice (an unchecked route repeats a vendor or customer) adds up both counts.
+                row[col] = cell if row[col] is _ZERO else row[col] + cell
             run *= sizes[k] - 1
-    denominator = worlds or 1  # no complete branch (an unchecked route): every cell stays 0
-    # Most cells are 0 or repeat another's count: one (immutable, so shared) Fraction per distinct count.
-    share = {count: Fraction(count, denominator) for count in set().union(*cells)}
     return PosteriorMatrix(
         customer_ids=scenario.customer_ids,
         vendor_stops=scenario.vendor_stops,
-        rows=tuple(tuple(map(share.__getitem__, row)) for row in cells),
+        rows=tuple(map(tuple, cells)),
         worlds=worlds,
     )
 

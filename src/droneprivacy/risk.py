@@ -39,15 +39,8 @@ class RiskReport:
     @classmethod
     def from_risks(cls, risks: Sequence[Fraction], customer_ids: Sequence[int]) -> "RiskReport":
         risks = tuple(risks)
-        return _report(risks, [r.numerator for r in risks], [r.denominator for r in risks], customer_ids)
-
-
-def _report(risks: tuple, nums: list[int], dens: list[int], customer_ids: Sequence[int]) -> RiskReport:
-    """The report of the risks ``nums[i] / dens[i]`` (``risks``, as Fractions), with their max and mean."""
-    if not risks:
-        raise ValueError("risk vector is empty")
-    return RiskReport(risks, Fraction(*_worst_pair(nums, dens)), Fraction(*_average_pair(nums, dens)),
-                      tuple(customer_ids))
+        return cls(*_summary(risks, [r.numerator for r in risks], [r.denominator for r in risks]),
+                   tuple(customer_ids))
 
 
 def privacy_risks(route: Route, scenario: Scenario, *, check: bool = True) -> RiskReport:
@@ -59,8 +52,21 @@ def privacy_risks(route: Route, scenario: Scenario, *, check: bool = True) -> Ri
     """
     if check:
         require_valid(route, scenario)
-    nums, dens = _run_recurrence(route.stops, scenario)
-    return _report(tuple(map(Fraction, nums, dens)), nums, dens, scenario.customer_ids)
+    return RiskReport(*risk_summary(route.stops, scenario), scenario.customer_ids)
+
+
+def risk_summary(stops: Sequence[Stop], scenario: Scenario) -> tuple[tuple[Fraction, ...], Fraction, Fraction]:
+    """The risks of a valid stop sequence in order position, their max and their mean: a
+    :class:`RiskReport`'s fields without the report, for callers that copy them elsewhere."""
+    nums, dens = _run_recurrence(stops, scenario)
+    return _summary(tuple(map(Fraction, nums, dens)), nums, dens)
+
+
+def _summary(risks: tuple, nums: list[int], dens: list[int]) -> tuple[tuple[Fraction, ...], Fraction, Fraction]:
+    """The risks ``nums[i] / dens[i]`` (``risks``, as Fractions), the largest of them, and their mean."""
+    if not risks:
+        raise ValueError("risk vector is empty")
+    return risks, risks[_worst_index(nums, dens)], Fraction(*_average_pair(nums, dens))
 
 
 def _run_recurrence(stops: Sequence[Stop], scenario: Scenario) -> tuple[list[int], list[int]]:
@@ -104,10 +110,11 @@ def _average_pair(nums: list[int], dens: list[int]) -> tuple[int, int]:
     return sum(nu * (common // de) for nu, de in zip(nums, dens)), common * len(dens)
 
 
-def _worst_pair(nums: list[int], dens: list[int]) -> tuple[int, int]:
-    """Largest of the risks ``nums[i] / dens[i]``, compared by cross-multiplication."""
+def _worst_index(nums: list[int], dens: list[int]) -> int:
+    """Position of the first largest of the risks ``nums[i] / dens[i]``, compared by cross-multiplication."""
+    best = 0
     best_nu, best_de = nums[0], dens[0]
-    for nu, de in zip(nums, dens):
+    for i, (nu, de) in enumerate(zip(nums, dens)):
         if nu * best_de > best_nu * de:
-            best_nu, best_de = nu, de
-    return best_nu, best_de
+            best, best_nu, best_de = i, nu, de
+    return best

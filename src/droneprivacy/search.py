@@ -33,9 +33,9 @@ from itertools import product
 from typing import Callable, Iterable, Iterator
 
 from .errors import GuardError, factorial_count, format_count
-from .geometry import leg_times, wait_times
+from .geometry import leg_times, wait_summary
 from .model import DroneSpec, Route, Scenario, Stop, require_valid
-from .risk import privacy_risks
+from .risk import risk_summary
 
 MAX_ORDERS = 7
 MAX_DECOY_BUDGET = 3
@@ -300,21 +300,16 @@ def evaluate(
     tag: str | None = None,
     check: bool = True,
 ) -> Evaluation:
-    """Full objective vector for one route: exact risks plus waits at the drone's speed and stop time."""
+    """Full objective vector for one route: exact risks plus waits at the drone's speed and stop time.
+
+    The fields are :func:`~droneprivacy.risk.privacy_risks`' and :func:`~droneprivacy.geometry.wait_times`',
+    from the same risk and wait summaries, with no report built in between; so are the refusals.
+    """
     if check:
         require_valid(route, scenario, drone)
-    report = privacy_risks(route, scenario, check=False)
-    waits = wait_times(route, scenario, drone, check=False)
-    return Evaluation(
-        route=route,
-        avg_risk=report.average,
-        worst_risk=report.worst_case,
-        avg_wait=waits.average,
-        risks=report.risks,
-        waits=waits.waits,
-        customer_ids=waits.customer_ids,
-        heuristic_tag=tag,
-    )
+    risks, worst_risk, avg_risk = risk_summary(route.stops, scenario)
+    waits, avg_wait = wait_summary(route.stops, scenario, drone)
+    return Evaluation(route, avg_risk, worst_risk, avg_wait, risks, waits, scenario.customer_ids, tag)
 
 
 class ParetoAccumulator:

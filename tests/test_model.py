@@ -181,3 +181,62 @@ def test_stop_rejects_an_unknown_kind_or_a_negative_id():
 def test_template_flatten_sorts_groups_by_default():
     template = RouteTemplate(((Stop("v", 2), Stop("v", 1)), (Stop("a", 1),)))
     assert template.flatten().tokens == "v1,v2,a1"
+
+
+_UNKNOWN = "UnknownIdError"
+
+# (route, capacity or None, verdict): a ValidationResult's (ok, rule, index, message), or UnknownIdError's message.
+# On abstract_scenario(3, n_decoys=2); an unknown id is refused where the walk meets it, even past a rule the
+# route breaks later, and a rule broken first wins over a later unknown id.
+VALIDATION_VERDICTS = [
+    ("v1,v4,a1,a4", 2, (_UNKNOWN, "scenario has no site for stop v4")),
+    ("v1,d3,a1", 2, (_UNKNOWN, "scenario has no site for stop d3")),
+    ("v1,a1,a7", 2, (_UNKNOWN, "scenario has no site for stop a7")),
+    ("v0,a0", None, (_UNKNOWN, "scenario has no site for stop v0")),
+    ("a5,v1", None, (_UNKNOWN, "scenario has no site for stop a5")),
+    ("d9,v1,a1,v2,a2,v3,a3", None, (_UNKNOWN, "scenario has no site for stop d9")),
+    ("v1,a9,a1", None, (_UNKNOWN, "scenario has no site for stop a9")),
+    ("v9,v1,v1", 2, (_UNKNOWN, "scenario has no site for stop v9")),
+    ("v1,v2,v3,v4", 3, (_UNKNOWN, "scenario has no site for stop v4")),
+    ("v1,v1,v9", 2, (False, "completeness", 1, "vendor v1 visited twice")),
+    ("v1,a1,v1,a1", 2, (False, "completeness", 2, "vendor v1 visited twice")),
+    ("v1,v2,v1,a1", 2, (False, "completeness", 2, "vendor v1 visited twice")),
+    ("v1,v2,v3,v1,a1", 3, (False, "completeness", 3, "vendor v1 visited twice")),
+    ("v1,d1,d1,a1,v2,a2,v3,a3", 2, (False, "completeness", 2, "decoy d1 visited twice")),
+    ("d2,v1,d2", None, (False, "completeness", 2, "decoy d2 visited twice")),
+    ("v1,a1,a1,v2,a2,v3,a3", 2, (False, "completeness", 2, "customer a1 visited twice")),
+    ("a1,v1,v2,a2,v3,a3", 2, (False, "precedence", 0, "customer a1 visited before its vendor v1")),
+    ("v1,a2,v2,a1,v3,a3", None, (False, "precedence", 1, "customer a2 visited before its vendor v2")),
+    ("v1,v2,a1,a3,v3,a2", 3, (False, "precedence", 3, "customer a3 visited before its vendor v3")),
+    ("v1,a1", 2, (False, "completeness", 2, "customers never visited: a2, a3")),
+    ("v2,a2,d1", None, (False, "completeness", 3, "customers never visited: a1, a3")),
+    ("d1,d2", 2, (False, "completeness", 2, "customers never visited: a1, a2, a3")),
+    ("v1,v2,a1,a2", None, (False, "completeness", 4, "customers never visited: a3")),
+    ("v1,v2,v3,a1,a2,a3", 2, (False, "capacity", 2, "picking up at v3 would load 3 items (capacity 2)")),
+    ("v1,d1,v2,d2,v3,a3,a2,a1", 2, (False, "capacity", 4, "picking up at v3 would load 3 items (capacity 2)")),
+    ("v1,v2,a1,v3,a2,a3", 1, (False, "capacity", 1, "picking up at v2 would load 2 items (capacity 1)")),
+    ("v1,v2,v3,a3,a2,a1", 3, (True, None, None, "")),
+    ("v1,v2,d1,a1,v3,a2,a3", 2, (True, None, None, "")),
+]
+
+
+@pytest.mark.parametrize("tokens, capacity, verdict", VALIDATION_VERDICTS)
+def test_validation_verdicts_are_pinned(tokens, capacity, verdict):
+    scenario, route = abstract_scenario(3, n_decoys=2), parse_route(tokens)
+    drone = None if capacity is None else DroneSpec(capacity)
+    if verdict[0] == _UNKNOWN:
+        with pytest.raises(UnknownIdError) as refused:
+            validate_route(route, scenario, drone)
+        assert str(refused.value) == verdict[1]
+    else:
+        result = validate_route(route, scenario, drone)
+        assert (result.ok, result.rule, result.index, result.message) == verdict
+
+
+def test_decoy_and_real_vendor_ids_are_separate_id_spaces():
+    """On one order and decoys 1..3: ``v2`` and ``a3`` are unknown although ``d2`` and ``d3`` exist."""
+    scenario = abstract_scenario(1, n_decoys=3)
+    assert validate_route(parse_route("v1,d2,a1"), scenario).ok
+    for tokens, unknown in (("v2,a1", "v2"), ("v1,d3,a1,a3", "a3"), ("v1,a1,d4", "d4")):
+        with pytest.raises(UnknownIdError, match=f"^scenario has no site for stop {unknown}$"):
+            validate_route(parse_route(tokens), scenario)

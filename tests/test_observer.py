@@ -22,6 +22,7 @@ from droneprivacy import (
     posterior_matrix,
     privacy_risks,
     risks_from_posterior,
+    validate_route,
 )
 from conftest import posterior_by_summing_worlds
 
@@ -323,6 +324,36 @@ def test_posterior_matches_the_summed_worlds(cases, count):
         assert posterior.customer_ids == tuple(c.id for c in scenario.customers)
         checked += 1
     assert checked >= count
+
+
+# (route, orders, decoys, validated): routes whose vendor runs share counts in every way the run grouping
+# must get right, each checked against the summed worlds.
+RUN_GROUPING_CASES = [
+    ("v1,v2,v3,v4,a2,a4,v5,v6,v7,a1,a3,a5,a6,a7", 7, 0, True),  # runs of 4 and 3 items, 1,440 worlds
+    ("v1,d1,v2,v3,a2,a1,v4,d2,v5,v6,a3,a6,a5,a4", 6, 2, True),  # a decoy inside each run, 4,320 worlds
+    ("v1,v2,a1,d1,d2,a2,v3,a3", 3, 2, True),  # a run of decoys only
+    ("d1,v1,a1,v2,a2,d2", 2, 2, True),  # a decoy-only run before the first drop and one after the last
+    ("v1,v2,a2,a1,v3,d1,a3", 3, 1, True),  # the first run's items are handed over for sure by its second drop
+    ("v3,v1,v2,a1,v4,a3,a2,v5,a4,a5", 5, 0, True),  # runs of 3, 1 and 1 items
+    ("v1,v2,v1,a1,a2,a1", 2, 0, False),  # vendor v1 in one run twice, customer a1 served twice: counts add up
+    ("v1,a1,v1,v2,a2,a1", 2, 0, False),  # vendor v1 in two runs
+    ("v1,d1,v2,d1,a1,a2", 2, 1, False),  # decoy d1 twice in one run
+    ("v1,v2,a1,a1,v2,a2", 2, 0, False),  # vendor v2 in two runs, a1 twice
+    ("v1,a1,a2,v2", 2, 0, False),  # no complete branch: every cell 0
+    ("v1,v2,a1,a2,a2,v3,a3", 3, 0, False),  # no complete branch, with sizes past 0
+]
+
+
+@pytest.mark.parametrize("tokens, n, n_decoys, valid", RUN_GROUPING_CASES)
+def test_run_grouped_posterior_matches_the_summed_worlds(tokens, n, n_decoys, valid):
+    scenario, route = abstract_scenario(n, n_decoys=n_decoys), parse_route(tokens)
+    assert bool(validate_route(route, scenario)) == valid
+    worlds = enumerate_worlds(route, scenario, check=False)
+    posterior = posterior_matrix(route, scenario, check=valid)
+    columns, rows = posterior_by_summing_worlds(worlds, scenario)
+    assert posterior.vendor_stops == columns
+    assert posterior.rows == rows
+    assert posterior.worlds == len(worlds) == math.prod(drop_payload_sizes(route, scenario))
 
 
 def test_column_layout_follows_the_orders_when_ids_do_not():

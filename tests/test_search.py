@@ -167,6 +167,54 @@ def test_evaluate_rejects_capacity_violations():
         evaluate(parse_route("v1,v2,v3,a1,a2,a3"), scenario, DroneSpec(capacity=2))
 
 
+# (map, decoy budget): every route of each map, on abstract and generated maps of n <= 4 and up to 2 decoys;
+# n = 4 walks one decoy at most (274,680 routes with two).
+_EVALUATION_MAPS = (
+    [(f"abstract-{n}-{d}", abstract_scenario(n, n_decoys=d), d) for n in range(1, 4) for d in range(3)]
+    + [("abstract-4-0", abstract_scenario(4), 0), ("abstract-4-2", abstract_scenario(4, n_decoys=2), 1)]
+    + [(f"{t}-4-1", generate(t, 4, 1, seed=7), 1) for t in TOPOLOGIES]
+    + [(f"{t}-3-2", generate(t, 3, 2, seed=8), 2) for t in TOPOLOGIES]
+)
+
+
+@pytest.mark.parametrize("scenario, budget", [case[1:] for case in _EVALUATION_MAPS],
+                         ids=[case[0] for case in _EVALUATION_MAPS])
+def test_evaluate_equals_the_public_kernels_on_every_route(scenario, budget):
+    """``evaluate`` builds no report: its fields must still be ``privacy_risks``' and ``wait_times``', the
+    waits bit for bit."""
+    drone = DroneSpec(capacity=scenario.n, speed=17.0, stop_duration=45.0)
+    routes = 0
+    for route in enumerate_routes(scenario, drone, budget):
+        evaluation = evaluate(route, scenario, drone, check=False)
+        report = privacy_risks(route, scenario, check=False)
+        waits = wait_times(route, scenario, drone, check=False)
+        assert (evaluation.risks, evaluation.avg_risk, evaluation.worst_risk) == (
+            report.risks, report.average, report.worst_case), route.tokens
+        assert [w.hex() for w in evaluation.waits] == [w.hex() for w in waits.waits], route.tokens
+        assert evaluation.avg_wait.hex() == waits.average.hex(), route.tokens
+        assert evaluation.customer_ids == report.customer_ids == waits.customer_ids
+        assert evaluation.route == route and evaluation.heuristic_tag is None
+        routes += 1
+    assert routes >= route_count_upper_bound(scenario.n, 0)  # every decoy-free route at least
+
+
+def test_evaluate_refuses_an_untimeable_route_as_wait_times_does():
+    """Vendors 2e308 m apart: the leg between them is too long to time (the CI's ``far.json`` map)."""
+    from droneprivacy import CustomerSite, Scenario, VendorSite
+
+    scenario = Scenario(
+        vendors=(VendorSite(1, -1e308, 0.0), VendorSite(2, 1e308, 0.0)),
+        customers=(CustomerSite(1, 0.0, 0.0, vendor_id=1), CustomerSite(2, 0.0, 1.0, vendor_id=2)),
+    )
+    route, drone = parse_route("v1,v2,a1,a2"), DroneSpec(capacity=2)
+    with pytest.raises(ValueError) as by_wait_times:
+        wait_times(route, scenario, drone)
+    with pytest.raises(ValueError) as by_evaluate:
+        evaluate(route, scenario, drone)
+    assert str(by_evaluate.value) == str(by_wait_times.value) == (
+        "the route's average wait is inf: its legs are too long to time")
+
+
 def test_pareto_front_diagonal_fixture():
     fixture = unit_square_fixture("diagonal")
     drone = DroneSpec(capacity=2, speed=1.0, stop_duration=0.0)

@@ -202,7 +202,7 @@ def cmd_heuristic(args) -> int:
     route = instantiate_template(template, sf.scenario, drone)
     evaluation = evaluate(route, sf.scenario, drone, tag=params.label)
     lines = [f"heuristic: {params.label} (required capacity {params.required_capacity})",
-             f"route: {route.tokens}", "ordering: exact minimum travel"]
+             f"route: {route.tokens}"]
     print("\n".join(lines + _risk_and_wait_lines(evaluation)))
     return EXIT_OK
 

@@ -50,15 +50,8 @@ def wait_times(route: Route, scenario: Scenario, motion: MotionModel | DroneSpec
 def wait_summary(stops: Sequence[Stop], scenario: Scenario,
                  motion: MotionModel | DroneSpec) -> tuple[tuple[float, ...], float]:
     """The waits of a valid stop sequence in order position and their mean: a :class:`WaitReport`'s
-    fields without the report.  Raises ``ValueError`` when the mean overflows to infinity."""
-    waits = tuple(order_waits(stops, scenario, motion))
-    if not math.isfinite(average := sum(waits) / len(waits)):
-        raise ValueError(f"the route's average wait is {average}: its legs are too long to time")
-    return waits, average
-
-
-def order_waits(stops: Sequence[Stop], scenario: Scenario, motion: MotionModel | DroneSpec) -> list[float]:
-    """The travel clock over a valid stop sequence: each order's wait, by order position."""
+    fields without the report.  This is the travel clock.  Raises ``ValueError`` when the mean
+    overflows to infinity."""
     xy = scenario.coords
     order_of_customer = scenario.order_index
     speed, stop_s = motion.speed, motion.stop_duration
@@ -71,14 +64,16 @@ def order_waits(stops: Sequence[Stop], scenario: Scenario, motion: MotionModel |
         if stop.kind == "a":
             waits[order_of_customer[stop.sid]] = t
         px, py = x, y
-    return waits
+    if not math.isfinite(average := sum(waits) / len(waits)):
+        raise ValueError(f"the route's average wait is {average}: its legs are too long to time")
+    return tuple(waits), average
 
 
 def leg_times(
     stops: Sequence[Stop], scenario: Scenario, motion: MotionModel | DroneSpec
 ) -> list[list[float]]:
     """Clock increment between every pair of ``stops``: ``table[i][j]`` is the term
-    :func:`order_waits` adds for a leg from ``stops[i]`` to ``stops[j]``, bit for bit.
+    :func:`wait_summary`'s clock adds for a leg from ``stops[i]`` to ``stops[j]``, bit for bit.
     Raises ``ValueError`` when a leg's time overflows to infinity."""
     points = [scenario.coords[stop.kind, stop.sid] for stop in stops]
     speed, stop_s = motion.speed, motion.stop_duration

@@ -160,10 +160,6 @@ class Scenario:
         return len(self.decoy_vendors)
 
     @cached_property
-    def real_vendors(self) -> tuple[VendorSite, ...]:
-        return tuple(v for v in self.vendors if not v.decoy)
-
-    @cached_property
     def decoy_vendors(self) -> tuple[VendorSite, ...]:
         return tuple(v for v in self.vendors if v.decoy)
 

@@ -75,20 +75,6 @@ def _refuse_past_the_branch_limit(worlds: int) -> None:
         )
 
 
-def _check_branches(route: Route) -> None:
-    """The guard alone: D is the product of the payload sizes at the drops, phantoms included."""
-    aboard = 0
-    worlds = 1  # stops growing past EXACT_COUNT_BITS: refused either way
-    for stop in route.stops:
-        if stop.kind != "a":
-            aboard += 1
-        else:
-            if worlds.bit_length() <= EXACT_COUNT_BITS:
-                worlds *= aboard
-            aboard -= 1
-    _refuse_past_the_branch_limit(worlds)
-
-
 def enumerate_worlds(route: Route, scenario: Scenario, *, check: bool = True) -> tuple[ObserverWorld, ...]:
     """All observer worlds for a route, with exact probabilities summing to 1.
 
@@ -101,9 +87,18 @@ def enumerate_worlds(route: Route, scenario: Scenario, *, check: bool = True) ->
     """
     if check:
         require_valid(route, scenario)
-    _check_branches(route)
-
     stops = route.stops
+    aboard = 0
+    worlds = 1  # D, phantoms included; stops growing past EXACT_COUNT_BITS: refused either way
+    for stop in stops:
+        if stop.kind != "a":
+            aboard += 1
+        else:
+            if worlds.bit_length() <= EXACT_COUNT_BITS:
+                worlds *= aboard
+            aboard -= 1
+    _refuse_past_the_branch_limit(worlds)
+
     branches: list[tuple[tuple[int, Stop], ...]] = []
     assignment: list[tuple[int, Stop]] = []
 

@@ -57,24 +57,8 @@ def privacy_risks(route: Route, scenario: Scenario, *, check: bool = True) -> Ri
 
 def risk_summary(stops: Sequence[Stop], scenario: Scenario) -> tuple[tuple[Fraction, ...], Fraction, Fraction]:
     """The risks of a valid stop sequence in order position, their max and their mean: a
-    :class:`RiskReport`'s fields without the report, for callers that copy them elsewhere."""
-    nums, dens = _run_recurrence(stops, scenario)
-    return _summary(tuple(map(Fraction, nums, dens)), nums, dens)
-
-
-def _summary(risks: tuple, nums: list[int], dens: list[int]) -> tuple[tuple[Fraction, ...], Fraction, Fraction]:
-    """The risks ``nums[i] / dens[i]`` (``risks``, as Fractions), the largest of them, and their mean."""
-    if not risks:
-        raise ValueError("risk vector is empty")
-    return risks, risks[_worst_index(nums, dens)], Fraction(*_average_pair(nums, dens))
-
-
-def _run_recurrence(stops: Sequence[Stop], scenario: Scenario) -> tuple[list[int], list[int]]:
-    """The run-based recurrence over a valid stop sequence.
-
-    Returns per-order risk numerators and denominators (integers, in order
-    position, unreduced).
-    """
+    :class:`RiskReport`'s fields without the report, for callers that copy them elsewhere.  The run
+    recurrence keeps order ``i``'s risk as the unreduced integers ``nums[i] / dens[i]``."""
     order_of_vendor = scenario.order_index_by_vendor
     order_of_customer = scenario.order_index
     n = len(order_of_customer)
@@ -101,7 +85,14 @@ def _run_recurrence(stops: Sequence[Stop], scenario: Scenario) -> tuple[list[int
             for pos in aboard:
                 nums[pos] *= survivors
                 dens[pos] *= payload_at_run_start
-    return nums, dens
+    return _summary(tuple(map(Fraction, nums, dens)), nums, dens)
+
+
+def _summary(risks: tuple, nums: list[int], dens: list[int]) -> tuple[tuple[Fraction, ...], Fraction, Fraction]:
+    """The risks ``nums[i] / dens[i]`` (``risks``, as Fractions), the largest of them, and their mean."""
+    if not risks:
+        raise ValueError("risk vector is empty")
+    return risks, risks[_worst_index(nums, dens)], Fraction(*_average_pair(nums, dens))
 
 
 def _average_pair(nums: list[int], dens: list[int]) -> tuple[int, int]:

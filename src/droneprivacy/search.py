@@ -160,15 +160,15 @@ def _sequences(
     The walk extends a prefix one stop at a time (real vendors by id, then
     decoys by id, then customers by id) and carries the prefix's risk and
     clock state, so a route costs amortized O(1) instead of a rescan.  The
-    risk state is the one of :func:`~droneprivacy.risk._run_recurrence`: the
-    payload frozen at the start of the current customer run, and the product
-    of the survivor fractions of the completed runs (``pn / pd``), which
-    each order snapshots at pickup.  A delivered order's risk is final at
-    once: the product's growth since its pickup, divided by the frozen
-    payload; a delivery adds it to the risk sum, or keeps the larger of it
-    and the worst risk so far.  The picked and delivered orders and the used
-    decoys are bit masks (an order's bit is ``1 << position``, a decoy's
-    ``1 << rank``).
+    risk state is the one of the recurrence in
+    :func:`~droneprivacy.risk.risk_summary`: the payload frozen at the start
+    of the current customer run, and the product of the survivor fractions
+    of the completed runs (``pn / pd``), which each order snapshots at
+    pickup.  A delivered order's risk is final at once: the product's growth
+    since its pickup, divided by the frozen payload; a delivery adds it to
+    the risk sum, or keeps the larger of it and the worst risk so far.  The
+    picked and delivered orders and the used decoys are bit masks (an order's
+    bit is ``1 << position``, a decoy's ``1 << rank``).
 
     With a ``front`` (the incumbent set of the caller, whose risks are the
     walk's ``risk``), the walk is bounded: it skips a prefix, with every
@@ -179,8 +179,8 @@ def _sequences(
     n = scenario.n
     order_of_vendor = scenario.order_index_by_vendor
     order_of_customer = scenario.order_index
-    vendor_ids = sorted(v.id for v in scenario.real_vendors)
-    customer_ids = sorted(c.id for c in scenario.customers)
+    vendor_ids = sorted(order_of_vendor)
+    customer_ids = sorted(order_of_customer)
     stops = [Stop("v", i) for i in vendor_ids] + [Stop("d", i) for i in scenario.decoy_ids]
     stops += [Stop("a", i) for i in customer_ids]
     # (index into stops, order position, order bit); decoys need only the index and a bit

@@ -93,7 +93,7 @@ def _filter_is_valid(stops: tuple[Stop, ...], scenario: Scenario, capacity: int)
 
 def brute_force_routes(scenario: Scenario, capacity: int, decoy_budget: int = 0) -> set[tuple[Stop, ...]]:
     """All valid routes by filtering raw permutations (slow; n <= 4)."""
-    base = [Stop("v", v.id) for v in scenario.real_vendors]
+    base = [Stop("v", v.id) for v, _ in scenario.orders]
     base += [Stop("a", c.id) for c in scenario.customers]
     decoy_ids = [d.id for d in scenario.decoy_vendors]
     found: set[tuple[Stop, ...]] = set()

@@ -19,6 +19,7 @@ from droneprivacy import (
     generate,
     instantiate_template,
     min_avg_risk_sweep,
+    ordering_search_is_exact,
     parse_route,
     privacy_risks,
     reversal_template,
@@ -91,6 +92,7 @@ def test_each_kind_labels_and_builds_from_its_parameters(params, label, capacity
     assert params.label == label
     assert params.required_capacity == capacity
     assert template_for(params) == template
+    assert ordering_search_is_exact(template) is True
 
 
 @pytest.mark.parametrize("kind,kwargs,message", [

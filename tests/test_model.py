@@ -33,6 +33,8 @@ def test_parse_route_tolerates_whitespace():
     route = parse_route(" v1 ,v2, a2 ")
     assert route.tokens == "v1,v2,a2"
     assert parse_route(route.tokens) == route
+    assert str(route) == route.tokens
+    assert [str(stop) for stop in route] == [stop.token for stop in route] == ["v1", "v2", "a2"]
 
 
 def test_parse_route_empty_rejected():

@@ -8,6 +8,7 @@ from fractions import Fraction as F
 import pytest
 
 from droneprivacy import (
+    CustomerSite,
     DroneSpec,
     GuardError,
     MotionModel,
@@ -23,6 +24,8 @@ from droneprivacy import (
     privacy_risks,
     route_count_upper_bound,
     Route,
+    Scenario,
+    VendorSite,
     unit_square_fixture,
     wait_times,
 )
@@ -62,6 +65,28 @@ def test_enumeration_matches_permutation_filter_oracle(n, c, n_d, budget):
     mine = {r.stops for r in enumerate_routes(scenario, DroneSpec(capacity=c), budget)}
     oracle = brute_force_routes(scenario, c, budget)
     assert mine == oracle
+
+
+def _renamed_map(*, shuffled: bool) -> tuple[Scenario, Scenario]:
+    """``generate("two_clusters", 3, 1, seed=4)`` and the same sites under ids that are not order
+    positions: vendors 7, 3, 5, customers 9, 2, 4, and decoy 3, a vendor's id too.  ``shuffled``
+    also lists the customers in another order, which moves every order to a new position."""
+    base = generate("two_clusters", 3, 1, seed=4)
+    vendor_id, customer_id = {1: 7, 2: 3, 3: 5}, {1: 9, 2: 2, 3: 4}
+    vendors = [VendorSite(3 if v.decoy else vendor_id[v.id], v.x, v.y, v.decoy) for v in base.vendors]
+    customers = [CustomerSite(customer_id[c.id], c.x, c.y, vendor_id[c.vendor_id]) for c in base.customers]
+    if shuffled:
+        customers = [customers[k] for k in (2, 0, 1)]
+    return base, Scenario(tuple(vendors), tuple(customers))
+
+
+def test_enumeration_matches_the_permutation_filter_on_ids_that_are_not_positions():
+    _, scenario = _renamed_map(shuffled=True)
+    for capacity in range(1, 4):
+        for budget in range(2):
+            mine = [route.stops for route in enumerate_routes(scenario, DroneSpec(capacity), budget)]
+            oracle = brute_force_routes(scenario, capacity, budget)
+            assert mine == sorted(oracle, key=lambda stops: Route(stops).sort_key)
 
 
 def test_stream_is_deterministic_and_lexicographic():
@@ -321,6 +346,21 @@ def test_pruned_front_equals_the_exhaustive_front(topology, n):
 
 
 @pytest.mark.parametrize("objective", ["avg_risk", "worst_risk"])
+def test_front_is_unchanged_by_renaming_the_ids(objective):
+    # The customers stay in order: a new order position would change the summation order of the
+    # average wait.  Stored routes may differ, as renaming changes the sort order.
+    base, renamed = _renamed_map(shuffled=False)
+    for capacity in range(1, 4):
+        for budget in range(2):
+            fronts = []
+            for scenario in (base, renamed):
+                front = pareto_front(scenario, DroneSpec(capacity), (objective, "avg_wait"), budget)
+                total, points = _front_rows(front)
+                fronts.append((total, [(risk, wait, count) for risk, wait, _, count in points]))
+            assert fronts[0] == fronts[1]
+
+
+@pytest.mark.parametrize("objective", ["avg_risk", "worst_risk"])
 def test_pruned_front_equals_the_exhaustive_front_on_tied_maps(objective):
     """Maps with many exactly equal waits: the placeholder grid (n <= 4, budget 2) and the unit squares."""
     for n in range(1, 5):
@@ -536,6 +576,7 @@ def test_accumulator_is_independent_of_offer_order():
 
     sequential = build(points)
     assert min(sequential.counts) >= 2
+    assert 0 < len(sequential) == len(sequential.waits) < len(points) // 2  # some offers were dominated
     for _ in range(5):
         shuffled = points[:]
         rng.shuffle(shuffled)
@@ -544,6 +585,7 @@ def test_accumulator_is_independent_of_offer_order():
         assert acc.risks == sequential.risks
         assert acc.counts == sequential.counts
         assert acc.seqs == sequential.seqs
+        assert len(acc) == len(sequential)
 
 
 def test_sweep_reference_cells():

@@ -152,8 +152,11 @@ def _sequences(
     """Every valid route as ``(stops, risk, avg_wait)``, in ``Route.sort_key`` order.
 
     ``risk`` is the sum of the per-order risks if ``average``, else the
-    largest of them: an exact, reduced ``(numerator, denominator)`` pair, so
-    equal values have equal pairs.  ``avg_wait`` is bit-identical to
+    largest of them: an exact ``(numerator, denominator)`` pair, not
+    reduced.  Every decision the walk makes cross-multiplies, so a pair is
+    reduced only where something stores it: the survivor ratios that key
+    :func:`_risk_to_go`'s memo, that memo's results, and the ``Fraction`` a
+    caller builds per route.  ``avg_wait`` is bit-identical to
     :func:`~droneprivacy.geometry.wait_times`' average at the drone's speed
     and stop time, and 0.0 without a drone.
 
@@ -269,14 +272,8 @@ def _sequences(
             if held & bit:
                 num = pn * pickup_d[pos]
                 den = pd * pickup_n[pos] * payload
-                g = math.gcd(num, den)
-                num //= g
-                den //= g
                 if average:
                     num, den = rn * den + num * rd, rd * den
-                    g = math.gcd(num, den)
-                    num //= g
-                    den //= g
                 elif num * rd <= rn * den:
                     num, den = rn, rd
                 wait = waits[pos] = t + row[k]
@@ -432,7 +429,7 @@ def _risk_to_go(capacity: int, decoy_budget: int, average: bool = True) -> Calla
     with nothing aboard) and the decoys left.  The moves and their risks are
     the walk's: a delivery adds its risk to the least sum to come, or keeps
     the larger of it and the least worst to come.  The result is exact, a
-    reduced pair.
+    reduced pair: the memo keys on the ratios and stores the results.
     """
     @cache
     def togo(unpicked, ratios, frozen, decoys_left):

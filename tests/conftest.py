@@ -143,7 +143,7 @@ def exhaustive_sweep(n_range, c_range, decoy_range) -> dict[tuple[int, int, int]
     table = {}
     for n in n_range:
         for n_d in decoy_range:
-            best_by_peak: dict[int, tuple[int, int]] = {}  # the least risk sum, a reduced pair
+            best_by_peak: dict[int, tuple[int, int]] = {}  # the least risk sum, an integer pair
             for seq, (nu, de), _ in _sequences(abstract_scenario(n, n_d), min(max(c_range), n), n_d):
                 peak = max_load(seq)
                 best = best_by_peak.get(peak)

@@ -358,30 +358,47 @@ def test_relabeled_dp_matches_the_search_over_every_relabeling_with_decoys():
             template, scenario, tuple(range(scenario.n))), (template, scenario)
 
 
+# The middle customer group drops one order picked in each vendor group, and a decoy sits between groups.
+SHARED_DROPS = RouteTemplate(tuple(parse_route(group).stops for group in "v1,v2,v3|a1|v4,v5|a2,a4|d1|a3,a5".split("|")))
+
+
 def test_relabeled_dp_drops_each_vendor_groups_share_in_each_customer_group():
-    """The middle customer group drops one order picked in each vendor group.  Dropping two from the first
-    (and both of the second's last) would be a valid route of another template, often a shorter one: the
-    relabeling search must count each vendor group's drops, and so keep the template's risks."""
-    groups = "v1,v2,v3|a1|v4,v5|a2,a4|d1|a3,a5".split("|")
-    template = RouteTemplate(tuple(parse_route(group).stops for group in groups))
+    """Dropping two orders of the first vendor group in the middle customer group (and both of the second's
+    last) would be a valid route of another template, often a shorter one: the relabeling search must count
+    each vendor group's drops, and so keep the template's risks."""
     drone = DroneSpec(capacity=5)
     for scenario in [generate(topology, 5, 1, seed=seed) for topology in TOPOLOGIES for seed in range(3)]:
-        route = instantiate_template(template, scenario, drone, relabel=True)
-        assert route == _relabeled_by_exhaustion(template, scenario), scenario
-        identity = instantiate_template(template, scenario, drone)
+        route = instantiate_template(SHARED_DROPS, scenario, drone, relabel=True)
+        assert route == _relabeled_by_exhaustion(SHARED_DROPS, scenario), scenario
+        identity = instantiate_template(SHARED_DROPS, scenario, drone)
         assert sorted(privacy_risks(route, scenario).risks) == sorted(privacy_risks(identity, scenario).risks)
+
+
+# (template, scenario, capacity, (steps without relabeling, steps with)): the DP's exact work, which depends
+# only on the template and the mode, so a change to how the DP keeps its states must leave it as it is.
+STEPS_TAKEN = [
+    (template_for(params), generate("uniform", 6, seed=0), params.required_capacity, steps)
+    for params, steps in [
+        (HeuristicParams("split", 6, k=3, l=3), (78, 1_326)),
+        (HeuristicParams("reversal", 6, k=2), (124, 3_636)),
+        (HeuristicParams("stuffing", 6, c=3), (38, 3_486)),
+        (HeuristicParams("reversal", 6, k=0), (1_002, 1_002)),
+    ]
+] + [(SHARED_DROPS, generate("two_clusters", 5, 1, seed=1), 5, (34, 915))]
 
 
 @pytest.mark.parametrize("relabel", [False, True])
 def test_the_guard_count_bounds_the_steps_taken(relabel):
     """``template_dp_steps`` is never below the steps the DP takes, so never below the states it keeps
-    (each is reached by a step), on every grid template up to n = 5 and on random ones with decoys."""
-    cases = [(template, generate(topology, n, seed=0))
+    (each is reached by a step), on every grid template up to n = 5, on random ones with decoys and on the
+    ``STEPS_TAKEN`` templates, whose steps are pinned exactly."""
+    cases = [(template, generate(topology, n, seed=0), n, None)
              for n in range(1, 6) for template in _grid(n) for topology in TOPOLOGIES]
-    cases += _random_templates(40, random.Random(12))
-    for template, scenario in cases:
-        steps = _instantiate(template, scenario, DroneSpec(capacity=scenario.n), relabel)[1]
+    cases += [(template, scenario, scenario.n, None) for template, scenario in _random_templates(40, random.Random(12))]
+    for template, scenario, capacity, pinned in cases + STEPS_TAKEN:
+        steps = _instantiate(template, scenario, DroneSpec(capacity), relabel)[1]
         assert template_dp_steps(template, relabel=relabel) >= steps, template
+        assert pinned is None or steps == pinned[relabel], template
 
 
 def _nearest_neighbour(template, scenario):

@@ -399,6 +399,7 @@ CUT_STRENGTH = [
     ("linear", 6, 1, 1, 6, "avg_risk", 114_179, 997),
     ("hub_spoke", 6, 0, 0, 2, "avg_risk", 6_826, 123),
     ("linear", 6, 0, 0, 6, "worst_risk", 11_779, 130),
+    ("uniform", 5, 2, 2, 3, "worst_risk", 7_637, 439),
 ]
 
 

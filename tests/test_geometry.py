@@ -1,6 +1,7 @@
 """Geometry: leg times, wait-time model, fixtures, and generators."""
 
 import collections
+import hashlib
 import itertools
 import math
 import random
@@ -240,6 +241,37 @@ def test_generate_refuses_bad_seeds_and_unbounded_ranges():
     # Finite sites whose x-spread passes the largest float: no leg between the clusters can be timed.
     with pytest.raises(ValueError, match="distance between the map's sites overflows"):
         generate("two_clusters", 2, separation=1.7e308, cluster_radius=1e307)
+
+
+GOLDEN_MAPS = [  # each topology with its defaults and with full-precision parameters
+    ("uniform", {}),
+    ("uniform", {"extent_m": 1522.9538830759993}),
+    ("two_clusters", {}),
+    ("two_clusters", {"separation": 1362.1543321161264, "cluster_radius": 275.7919898407569,
+                      "extent_m": 2663.275827900337}),
+    ("hub_spoke", {}),
+    ("hub_spoke", {"hub_radius": 229.69944399577662, "ring_inner": 810.4108622906024,
+                   "ring_outer": 1287.1141007974204, "extent_m": 2663.275827900337}),
+    ("linear", {}),
+    ("linear", {"corridor_width": 33.74821763617122, "extent_m": 1522.9538830759993}),
+]
+GOLDEN_DIGEST = "a494de3479eaaf7c67a82e41e8a0a276a6d078d55a03272c1b70de5a2c042196"
+
+
+def test_generated_floats_are_pinned():
+    """A sha256 over the ids, decoy flags, vendor links and ``.hex()`` coordinates of 96 generated maps.  The
+    numpy test swaps only the stream, under the same samplers; this pin sees any change to the samplers'
+    arithmetic, such as a reassociated cluster center."""
+    digest = hashlib.sha256()
+    for (topology, params), seed, (n, n_decoys) in itertools.product(
+        GOLDEN_MAPS, (0, 1, 17, 2**64 + 5), ((1, 0), (4, 2), (7, 3))
+    ):
+        scenario = generate(topology, n, n_decoys, seed, **params)
+        for v in scenario.vendors:
+            digest.update(f"v{v.id},{v.decoy},{v.x.hex()},{v.y.hex()};".encode())
+        for c in scenario.customers:
+            digest.update(f"a{c.id},{c.vendor_id},{c.x.hex()},{c.y.hex()};".encode())
+    assert digest.hexdigest() == GOLDEN_DIGEST
 
 
 def test_distance_overflow_is_judged_on_pairs_not_on_the_bounding_box():

@@ -3,9 +3,10 @@
 Covers every valid route for five orders on a uniform map (113,400 of them),
 extracts the exact (average risk, average wait) front, and shows where the
 heuristic constructions land.  The front's walk skips every partial route
-that a route already found beats in both objectives, and counts the routes
-it skips, so it walks only a small share of them; six orders (7.5M routes)
-take well under a second with the same code.  On clustered maps the front
+that a route already found beats in both objectives, so it walks only a
+small share of the routes; it counts the routes it walks, and the total it
+covers comes from a counting recurrence.  Six orders (7.5M routes) take well
+under a second with the same code.  On clustered maps the front
 tends to collapse to one or two points (aggregation wins both objectives);
 uniform maps keep a real trade-off curve.
 """

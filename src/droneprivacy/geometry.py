@@ -140,9 +140,9 @@ def generate(
         raise ValueError("extent must be positive")
     rng = _PCG64(seed)
 
+    # Each topology checks its parameters and draws vendor i and customer i; the loop below draws them all.
     if topology == "uniform":
-        vendor_xy = [_uniform_point(rng, extent_m) for _ in range(n + n_decoys)]
-        customer_xy = [_uniform_point(rng, extent_m) for _ in range(n)]
+        vendor = customer = lambda i: (rng.uniform(0, extent_m), rng.uniform(0, extent_m))
     elif topology == "two_clusters":
         separation = float(params.pop("separation", 0.4 * extent_m))
         radius = float(params.pop("cluster_radius", separation / 4))
@@ -153,45 +153,42 @@ def generate(
         mid = extent_m / 2
         vendor_center = (mid - separation / 2 - radius, mid)
         customer_center = (mid + separation / 2 + radius, mid)
-        vendor_xy = [_disc_point(rng, vendor_center, radius) for _ in range(n + n_decoys)]
-        customer_xy = [_disc_point(rng, customer_center, radius) for _ in range(n)]
+        vendor = lambda i: _polar(rng, vendor_center, radius * math.sqrt(rng.uniform()))
+        customer = lambda i: _polar(rng, customer_center, radius * math.sqrt(rng.uniform()))
     elif topology == "hub_spoke":
         hub_radius = float(params.pop("hub_radius", 0.1 * extent_m))
         ring_inner = float(params.pop("ring_inner", 0.3 * extent_m))
         ring_outer = float(params.pop("ring_outer", 0.45 * extent_m))
         if not 0 < hub_radius <= ring_inner < ring_outer:
             raise ValueError("need 0 < hub_radius <= ring_inner < ring_outer")
-        center = (extent_m / 2, extent_m / 2)
-        vendor_xy = [_disc_point(rng, center, hub_radius) for _ in range(n + n_decoys)]
         try:
-            customer_xy = [_annulus_point(rng, center, ring_inner, ring_outer) for _ in range(n)]
-        except OverflowError:  # from squaring a ring radius
+            inner_sq, outer_sq = ring_inner**2, ring_outer**2
+        except OverflowError:
             raise ValueError(f"ring_outer {ring_outer:g} is too large to square") from None
+        center = (extent_m / 2, extent_m / 2)
+        vendor = lambda i: _polar(rng, center, hub_radius * math.sqrt(rng.uniform()))
+        customer = lambda i: _polar(rng, center, math.sqrt(rng.uniform(inner_sq, outer_sq)))
     elif topology == "linear":
         corridor = float(params.pop("corridor_width", 0.02 * extent_m))
         if corridor <= 0:
             raise ValueError("corridor_width must be positive")
         axis_y = extent_m / 2
-        vendor_xy = [
-            _corridor_point(rng, extent_m, axis_y, corridor, side=(1 if i % 2 == 0 else -1))
-            for i in range(n + n_decoys)
-        ]
-        customer_xy = [
-            _corridor_point(rng, extent_m, axis_y, corridor, side=(-1 if i % 2 == 0 else 1))
-            for i in range(n)
-        ]
+        # The offset's side alternates, and customer i sits on the side opposite vendor i.
+        vendor = lambda i: (rng.uniform(0, extent_m), axis_y + (-1) ** i * rng.uniform(0, corridor))
+        customer = lambda i: vendor(i + 1)
     else:
         raise ValueError(f"unknown topology {topology!r}")
+    xy = [draw(i) for draw, count in ((vendor, n + n_decoys), (customer, n)) for i in range(count)]
     if params:
         raise ValueError(f"unknown parameters for topology {topology}: {sorted(params)}")
-    if not all(map(math.isfinite, chain(*vendor_xy, *customer_xy))):
+    if not all(map(math.isfinite, chain.from_iterable(xy))):
         raise ValueError("the map's coordinates overflow to infinity: its extent or spacing is too large")
-    if _longest_distance_overflows(vendor_xy + customer_xy):
+    if _longest_distance_overflows(xy):
         raise ValueError("a distance between the map's sites overflows to infinity: its spacing is too large")
 
-    vendors = [VendorSite(i + 1, *vendor_xy[i]) for i in range(n)]
-    vendors += [VendorSite(i + 1, *vendor_xy[n + i], decoy=True) for i in range(n_decoys)]
-    customers = [CustomerSite(i + 1, *customer_xy[i], vendor_id=i + 1) for i in range(n)]
+    vendors = [VendorSite(i + 1, *xy[i]) for i in range(n)]
+    vendors += [VendorSite(i + 1, *xy[n + i], decoy=True) for i in range(n_decoys)]
+    customers = [CustomerSite(i + 1, *xy[n + n_decoys + i], vendor_id=i + 1) for i in range(n)]
     return Scenario(vendors=tuple(vendors), customers=tuple(customers))
 
 
@@ -295,23 +292,7 @@ class _PCG64:
         return low + span * ((self._next() >> 11) * 2**-53)
 
 
-def _uniform_point(rng, extent):
-    return (rng.uniform(0, extent), rng.uniform(0, extent))
-
-
-def _disc_point(rng, center, radius):
-    r = radius * math.sqrt(rng.uniform())
+def _polar(rng, center, r):
+    """The point at distance ``r`` from ``center`` in a uniformly drawn direction."""
     theta = rng.uniform(0, 2 * math.pi)
     return (center[0] + r * math.cos(theta), center[1] + r * math.sin(theta))
-
-
-def _annulus_point(rng, center, inner, outer):
-    r = math.sqrt(rng.uniform(inner**2, outer**2))
-    theta = rng.uniform(0, 2 * math.pi)
-    return (center[0] + r * math.cos(theta), center[1] + r * math.sin(theta))
-
-
-def _corridor_point(rng, extent, axis_y, corridor, side):
-    x = rng.uniform(0, extent)
-    offset = rng.uniform(0, corridor)
-    return (x, axis_y + side * offset)

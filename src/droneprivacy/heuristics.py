@@ -30,6 +30,7 @@ guard.
 from __future__ import annotations
 
 import math
+import numbers
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
@@ -57,6 +58,10 @@ class HeuristicParams:
     c: int | None = None
 
     def __post_init__(self):
+        for name in ("n", "k", "l", "c"):
+            value = getattr(self, name)
+            if value is not None and (isinstance(value, bool) or not isinstance(value, numbers.Integral)):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.n < 1:
             raise ValueError("n must be at least 1")
         if self.kind not in _KINDS:

@@ -40,7 +40,7 @@ from .risk import risk_summary
 MAX_ORDERS = 7
 MAX_DECOY_BUDGET = 3
 MAX_FRONT_NODES = 20_000_000  # prefixes one pareto_front walk may visit
-MAX_WAIT_BOUND_STATES = 34_992  # the front's wait-bound table, 2n * 3^(n-1) states, at n = 8
+MAX_WAIT_BOUND_STATES = 34_993  # the front's wait-bound table, 2n * 3^(n-1) + 1 states with the start, at n = 8
 MAX_SWEEP_CELLS = 100_000  # (n, capacity, budget) cells one sweep table may hold
 
 RISK_OBJECTIVES = ("avg_risk", "worst_risk")
@@ -480,14 +480,15 @@ def pareto_front(
     prefixes, or when the wait bound's table would pass
     ``MAX_WAIT_BOUND_STATES`` states.
     """
-    risk_obj, wait_obj = objectives
+    is_pair = isinstance(objectives, (tuple, list)) and len(objectives) == 2
+    risk_obj, wait_obj = objectives if is_pair else (None, None)
     if risk_obj not in RISK_OBJECTIVES or wait_obj != WAIT_OBJECTIVE:
         raise ValueError(
             f"objectives must pair one of {RISK_OBJECTIVES} with {WAIT_OBJECTIVE!r}, got {objectives}"
         )
     n, n_decoys, capacity = scenario.n, scenario.n_decoys, drone.capacity
     _check_budget(n_decoys, decoy_budget)
-    states = 2 * n * 3 ** (n - 1)
+    states = 2 * n * 3 ** (n - 1) + 1
     if states > MAX_WAIT_BOUND_STATES or decoy_budget > MAX_DECOY_BUDGET:
         raise GuardError(
             f"front over n={n}, decoy budget {decoy_budget} refused (limits: a wait-bound table of "

@@ -71,11 +71,14 @@ def test_stuffing_template_structure():
         ("stuffing", dict(c=0)),
         ("stuffing", dict(c=4)),  # c > n
         ("zigzag", {}),  # no such kind
+        ("stuffing", dict(c=2.5)),  # a parameter that is not an integer
+        ("split", dict(n=4.0, k=2, l=2)),
+        ("reversal", dict(n=5, k=True)),  # nor a bool
     ],
 )
 def test_parameter_validation(kind, kwargs):
     with pytest.raises(ValueError):
-        HeuristicParams(kind, 3, **kwargs)
+        HeuristicParams(kind, **{"n": 3, **kwargs})
 
 
 KIND_CASES = [  # (params, label, required capacity, the kind's own builder call)
@@ -103,6 +106,8 @@ def test_each_kind_labels_and_builds_from_its_parameters(params, label, capacity
     ("stuffing", {}, "stuffing takes c only"),
     ("stuffing", dict(k=1, c=2), "stuffing takes c only"),
     ("zigzag", dict(k=1), "unknown heuristic kind 'zigzag'"),
+    ("stuffing", dict(c=2.5), "c must be an integer, got 2.5"),
+    ("reversal", dict(k=True), "k must be an integer, got True"),
 ])
 def test_parameter_messages_name_what_the_kind_takes(kind, kwargs, message):
     with pytest.raises(ValueError) as info:

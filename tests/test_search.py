@@ -31,7 +31,7 @@ from droneprivacy import (
 )
 from droneprivacy import search
 from droneprivacy.errors import factorial_count, format_count
-from droneprivacy.search import _risk_to_go, _route_counter, _sequences
+from droneprivacy.search import _risk_to_go, _route_counter, _sequences, _wait_to_go
 from conftest import brute_force_routes, exhaustive_front, exhaustive_sweep, max_load
 
 TOPOLOGIES = ("uniform", "two_clusters", "hub_spoke", "linear")
@@ -454,8 +454,27 @@ def test_front_guard_refuses_600_orders_without_counting_them():
         pareto_front(abstract_scenario(600), DroneSpec(capacity=600))
 
 
+def test_wait_bound_table_holds_the_counted_states():
+    """After the root call the table holds the start state plus, for each last stop, the other orders each
+    unpicked, delivered or held, at most c - 1 of them held.  At c = n that is the guard's 2n * 3^(n-1) + 1, and
+    at n = 8 it is ``MAX_WAIT_BOUND_STATES``: the largest table the guard admits is the one it counts."""
+    def table_size(n, c):
+        legs = [[1.0] * (2 * n)] * (2 * n + 1)  # a row per stop, and the start's row (last = -1)
+        togo = _wait_to_go(legs, [(pos, pos, 1 << pos) for pos in range(n)],
+                           [(n + pos, pos, 1 << pos) for pos in range(n)], c)
+        togo(0, 0, -1)
+        return togo.cache_info().currsize
+
+    for n in range(1, 7):
+        for c in range(1, n + 1):
+            held = sum(math.comb(n - 1, h) * 2 ** (n - 1 - h) for h in range(min(c, n)))
+            assert table_size(n, c) == 1 + 2 * n * held, (n, c)
+        assert table_size(n, n) == 2 * n * 3 ** (n - 1) + 1
+    assert table_size(8, 8) == search.MAX_WAIT_BOUND_STATES
+
+
 def test_front_guard_prints_a_wait_table_past_4300_digits():
-    """2n * 3^(n-1) wait-table states pass Python's 4,300-digit str limit from n = 9,014; the refusal prints
+    """2n * 3^(n-1) + 1 wait-table states pass Python's 4,300-digit str limit from n = 9,014; the refusal prints
     the count as a power of two instead of failing to print it."""
     with pytest.raises(GuardError, match=r"more than 2\^14435 states .* at least 9100! routes"):
         pareto_front(abstract_scenario(9_100), DroneSpec(capacity=1))
@@ -556,6 +575,9 @@ def test_pareto_rejects_bad_objectives():
     fixture = unit_square_fixture("diagonal")
     with pytest.raises(ValueError):
         pareto_front(fixture, DroneSpec(capacity=2), objectives=("avg_wait", "avg_risk"))
+    for objectives in (None, ("avg_risk",), ("avg_risk", "avg_wait", "avg_wait"), "ab"):
+        with pytest.raises(ValueError, match=r"objectives must pair one of \('avg_risk', 'worst_risk'\) with"):
+            pareto_front(fixture, DroneSpec(capacity=2), objectives=objectives)
 
 
 def test_accumulator_is_independent_of_offer_order():

@@ -1,5 +1,6 @@
 """Heuristic templates, closed-form risks, and template instantiation."""
 
+import hashlib
 import itertools
 import math
 import random
@@ -279,12 +280,17 @@ def _joint_orderings(template):
     return math.prod(math.factorial(size) for size in template.group_sizes)
 
 
-def _grid(n):
-    """Every split, reversal and stuffing template of n orders."""
+def _grid_params(n):
+    """The parameters of every split, reversal and stuffing template of n orders."""
     grid = [HeuristicParams("split", n, k=k, l=n - k) for k in range(1, n)]
     grid += [HeuristicParams("reversal", n, k=k) for k in range(0, n // 2 + 1)]
     grid += [HeuristicParams("stuffing", n, c=c) for c in range(1, n + 1)]
-    return [template_for(params) for params in grid]
+    return grid
+
+
+def _grid(n):
+    """Every split, reversal and stuffing template of n orders."""
+    return [template_for(params) for params in _grid_params(n)]
 
 
 @pytest.mark.parametrize("n", range(1, 7))
@@ -404,6 +410,32 @@ def test_the_guard_count_bounds_the_steps_taken(relabel):
         steps = _instantiate(template, scenario, DroneSpec(capacity), relabel)[1]
         assert template_dp_steps(template, relabel=relabel) >= steps, template
         assert pinned is None or steps == pinned[relabel], template
+
+
+# sha256 over one line per case, ``n|label|relabel|route tokens|steps``: the routes and step counts of the
+# DP at n = 7..9, past the exhaustive oracles above.  Pinned before the DP's prefixes became parent links.
+INSTANTIATIONS_PAST_THE_ORACLES = "044e9d68404b3af4aef3aba19cd0a2596299dd80368986e72c8d487e084afdee"
+
+
+def test_instantiations_past_the_oracles_are_pinned():
+    """Every grid template at n = 7..9 whose DP is bounded by 60,000 steps, in both modes, on four topologies
+    by two seeds and on ``abstract_scenario(n)``, whose grid sites tie in length: 738 routes and step counts,
+    pinned by one digest."""
+    digest, cases = hashlib.sha256(), 0
+    for n in (7, 8, 9):
+        maps = [generate(topology, n, seed=seed) for topology in TOPOLOGIES for seed in range(2)]
+        maps.append(abstract_scenario(n))
+        for params in _grid_params(n):
+            template = template_for(params)
+            for relabel in (False, True):
+                if template_dp_steps(template, relabel=relabel) > 60_000:
+                    continue
+                for scenario in maps:
+                    route, steps = _instantiate(template, scenario, DroneSpec(n), relabel)
+                    digest.update(f"{n}|{params.label}|{relabel}|{route.tokens}|{steps}\n".encode())
+                    cases += 1
+    assert cases == 738
+    assert digest.hexdigest() == INSTANTIATIONS_PAST_THE_ORACLES
 
 
 def _nearest_neighbour(template, scenario):

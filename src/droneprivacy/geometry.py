@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from itertools import chain, combinations, permutations, product
 from typing import Literal, Sequence
 
-from .model import CustomerSite, DroneSpec, MotionModel, Route, Scenario, Stop, VendorSite, require_valid
+from .model import CustomerSite, DroneSpec, MotionModel, Route, Scenario, Stop, VendorSite, require_int, require_valid
 
 Topology = Literal["uniform", "two_clusters", "hub_spoke", "linear"]
 
@@ -129,9 +129,12 @@ def generate(
     * ``linear``: ``corridor_width`` (default ``0.02 * extent``); sites hug a
       horizontal axis with alternating side offsets.
 
-    Raises ``ValueError`` when a coordinate, or the distance between two
-    sites, would overflow to infinity: no leg of such a map can be timed.
+    Raises ``ValueError`` when ``n`` or ``n_decoys`` is a bool or not an
+    integer, and when a coordinate, or the distance between two sites, would
+    overflow to infinity: no leg of such a map can be timed.
     """
+    require_int("n", n)
+    require_int("n_decoys", n_decoys)
     if n < 1:
         raise ValueError("n must be at least 1")
     if n_decoys < 0:

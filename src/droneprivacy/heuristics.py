@@ -30,14 +30,13 @@ guard.
 from __future__ import annotations
 
 import math
-import numbers
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Literal
 
 from .errors import GuardError, format_count
-from .model import DroneSpec, Route, RouteTemplate, Scenario, Stop, require_valid
+from .model import DroneSpec, Route, RouteTemplate, Scenario, Stop, require_int, require_valid
 from .risk import RiskReport
 
 HeuristicKind = Literal["split", "reversal", "stuffing"]
@@ -60,8 +59,8 @@ class HeuristicParams:
     def __post_init__(self):
         for name in ("n", "k", "l", "c"):
             value = getattr(self, name)
-            if value is not None and (isinstance(value, bool) or not isinstance(value, numbers.Integral)):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
+            if value is not None:
+                require_int(name, value)
         if self.n < 1:
             raise ValueError("n must be at least 1")
         if self.kind not in _KINDS:
@@ -202,10 +201,13 @@ def instantiate_template(
     order, so the returned flattening has exactly minimal total travel.  A DP
     state is the orders' statuses (unpicked, delivered, or aboard since a
     given vendor group), the decoys used and the last stop.  Each state keeps
-    its least (length so far, stop sequence) prefix, so results are
-    reproducible and prefixes of equal length go to the smaller stop sequence;
-    when two prefixes of different lengths reach equal totals only after
-    rounding, the route returned is still a shortest one but may not be the
+    one prefix as its length so far, its last stop and a link to the prefix
+    before it, and the route is rebuilt once, from the best final prefix.  A
+    state takes a new prefix only if it is strictly shorter or, at exactly
+    the same length, its stop sequence is smaller, so results are reproducible
+    and prefixes of equal length go to the smaller stop sequence; when two
+    prefixes of different lengths reach equal totals only after rounding, the
+    route returned is still a shortest one but may not be the
     lexicographically smallest.
 
     With ``relabel=True`` the abstract-to-scenario order assignment is searched
@@ -322,35 +324,36 @@ def _instantiate(
         raise GuardError(f"template instantiation refused: {format_count(steps)} dynamic-program steps{how} "
                          f"(limit {MAX_TEMPLATE_DP_STEPS:,})")
 
-    site = {"v": {}, "a": {}, "d": {}}  # kind -> template index - 1 -> (sort key, x, y) of its bound stop
-    stop_of, xy = {}, {}  # sort key -> stop, and -> (x, y)
-    for stop, placed in zip(flat, bound):
-        key = placed.sort_key
-        stop_of[key] = placed
-        xy[key] = scenario.coords[placed.kind, placed.sid]
-        site[stop.kind][stop.sid - 1] = (key, *xy[key])
+    # The bound stops are numbered in sort-key order, so comparing index paths compares stop sequences.
+    order = sorted(range(len(bound)), key=lambda i: bound[i].sort_key)
+    stops = [bound[i] for i in order]
+    xs, ys = map(list, zip(*(scenario.coords[s.kind, s.sid] for s in stops)))
+    site = {"v": {}, "a": {}, "d": {}}  # kind -> template index - 1 -> the number of its bound stop
+    for k, i in enumerate(order):
+        site[flat[i].kind][flat[i].sid - 1] = k
     # A status is one int: bit o for "order o picked", bit n + j for "decoy j used", and n bits from
     # aboard_at + k * n on for the orders aboard since vendor group k.  A move is (test, want, delta,
-    # stop key, x, y): it may be taken while ``status & test == want``, and adds ``delta``.
+    # stop number): it may be taken while ``status & test == want``, and adds ``delta``.
     full = (1 << n) - 1
     aboard_at = n + scenario.n_decoys
 
     def pick(o, at):
-        return (1 << o, 0, 1 << o | 1 << (at + o), *site["v"][o])
+        return (1 << o, 0, 1 << o | 1 << (at + o), site["v"][o])
 
     def drop(o, at):
         bit = 1 << (at + o)
-        return (bit, bit, -bit, *site["a"][o])
+        return (bit, bit, -bit, site["a"][o])
 
     def use(j):
         bit = 1 << (n + j)
-        return (bit, 0, bit, *site["d"][j])
+        return (bit, 0, bit, site["d"][j])
 
     picked_in = {}  # template order -> the first aboard bit of the vendor group that picks it
     aboard = {}  # a vendor group's first aboard bit -> its orders still aboard at the current group's start
-    # A prefix is (length so far, stop sort keys).  Legs are added in route order from 0.0, so each
-    # length is the float that summing the full flattening's legs first to last would compute.
-    layer = {0: {None: (0.0, ())}}  # status -> last stop -> least prefix
+    # A prefix is (length so far, last stop number, the prefix before it), None before the first stop.
+    # Legs are added in route order from 0.0, so each length is the float that summing the full
+    # flattening's legs first to last would compute.
+    layer = {0: {None: None}}  # status -> last stop -> least prefix
     taken = 0
     for gi, group in enumerate(template.groups):
         orders = [s.sid - 1 for s in group if s.kind != "d"]
@@ -373,26 +376,38 @@ def _instantiate(
                 sources.append((at, aboard[at], [drop(o, at) for o in range(n)]))
         else:
             sources = [(0, -1, [drop(o, picked_in[o]) for o in orders])]
+        sources = [source for source in sources if source[2]]  # a decoy source may have no moves
         for _ in group:
             nxt = {}
             for status, lasts in layer.items():
                 targets = []
                 for bits, count, moves in sources:
                     if (status >> bits & full).bit_count() != count:
-                        targets += [(nxt.setdefault(status + delta, {}), key, x, y)
-                                    for test, want, delta, key, x, y in moves if status & test == want]
+                        targets += [(nxt.setdefault(status + delta, {}), k)
+                                    for test, want, delta, k in moves if status & test == want]
                 taken += len(targets) * len(lasts)
-                for last, (length, seq) in lasts.items():
+                for last, prefix in lasts.items():
                     if last is None:  # the route's first stop
-                        for slot, key, _, _ in targets:
-                            slot[key] = (0.0, (key,))
+                        for slot, k in targets:
+                            slot[k] = (0.0, k, None)
                         continue
-                    px, py = xy[last]
-                    for slot, key, x, y in targets:
-                        step = (length + math.hypot(x - px, y - py), seq + (key,))
-                        if key not in slot or step < slot[key]:
-                            slot[key] = step
+                    length, px, py = prefix[0], xs[last], ys[last]
+                    for slot, k in targets:
+                        step = length + math.hypot(xs[k] - px, ys[k] - py)
+                        # The least (length, path) wins; paths are built only on an exact length tie.
+                        held = slot.get(k)
+                        if held is None or step < held[0] or step == held[0] and _path(prefix) < _path(held[2]):
+                            slot[k] = (step, k, prefix)
             layer = nxt
     (lasts,) = layer.values()
-    best = min(lasts.values())
-    return Route(tuple(map(stop_of.__getitem__, best[1]))), taken
+    best = min(lasts.values(), key=lambda prefix: (prefix[0], _path(prefix)))
+    return Route(tuple(stops[k] for k in _path(best))), taken
+
+
+def _path(prefix: tuple | None) -> list[int]:
+    """The stop numbers of a parent-linked DP prefix, first to last."""
+    path = []
+    while prefix is not None:
+        _, k, prefix = prefix
+        path.append(k)
+    return path[::-1]

@@ -13,6 +13,7 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 import math
+import numbers
 import re
 from dataclasses import dataclass
 from functools import cached_property
@@ -24,6 +25,12 @@ StopKind = Literal["v", "d", "a"]
 
 _KIND_RANK = {"v": 0, "d": 1, "a": 2}
 _STOP_TOKEN = re.compile(r"^([vda])(\d+)$")
+
+
+def require_int(name: str, value) -> None:
+    """Refuse a bool or a non-integer ``value`` with ``ValueError("<name> must be an integer, got <value>")``."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -245,6 +252,8 @@ class DroneSpec:
     stop_duration: float = MotionModel.stop_duration
 
     def __post_init__(self):
+        if type(self.capacity) is not int:  # the common case skips the abstract-class check
+            require_int("capacity", self.capacity)
         if self.capacity < 1:
             raise ValueError("capacity must be at least 1")
         MotionModel.__post_init__(self)

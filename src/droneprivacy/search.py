@@ -34,7 +34,7 @@ from typing import Callable, Iterable, Iterator
 
 from .errors import GuardError, factorial_count, format_count
 from .geometry import leg_times, wait_summary
-from .model import DroneSpec, Route, Scenario, Stop, require_valid
+from .model import DroneSpec, Route, Scenario, Stop, require_int, require_valid
 from .risk import risk_summary
 
 MAX_ORDERS = 7
@@ -90,6 +90,7 @@ class ParetoFront:
 
 
 def _check_budget(n_decoys: int, decoy_budget: int) -> None:
+    require_int("decoy budget", decoy_budget)
     if decoy_budget < 0:
         raise ValueError("decoy budget must be non-negative")
     if decoy_budget > n_decoys:
@@ -513,6 +514,17 @@ def pareto_front(
                        total_routes=_route_total(n, n_decoys, capacity, decoy_budget)[0], routes_walked=walked)
 
 
+def _sweep_values(name: str, values: Iterable[int]) -> range | list[int]:
+    """A sweep range's values, distinct and ascending.  A range already is, so its ends are read without
+    iterating it; any other iterable must hold only integers (no bools)."""
+    if isinstance(values, range):
+        return values if values.step > 0 else values[::-1]
+    values = list(values)
+    for value in values:
+        require_int(name, value)
+    return sorted(set(values))
+
+
 def min_avg_risk_sweep(
     n_range: Iterable[int],
     c_range: Iterable[int],
@@ -527,13 +539,11 @@ def min_avg_risk_sweep(
     walk's guard is checked first, at the largest cell: the route count grows
     with n, capacity and budget, so it is refused whenever any cell is.  Then
     a table of more than ``MAX_SWEEP_CELLS`` cells is refused, before any memo
-    or row is built.
+    or row is built.  A range that is not a ``range`` must hold integers, not
+    bools or floats, or ``ValueError`` is raised.
     """
-    # A range is already distinct and ordered, so its ends are read without iterating it.
-    n_values, c_values, d_values = (
-        (r if r.step > 0 else r[::-1]) if isinstance(r, range) else sorted(set(r))
-        for r in (n_range, c_range, decoy_range)
-    )
+    n_values, c_values, d_values = (_sweep_values(name, r) for name, r in
+                                    (("n", n_range), ("capacity", c_range), ("decoy budget", decoy_range)))
     if not n_values or not c_values or not d_values:
         raise ValueError("all sweep ranges must be non-empty")
     if n_values[0] < 1 or c_values[0] < 1 or d_values[0] < 0:

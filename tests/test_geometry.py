@@ -192,6 +192,17 @@ def test_generate_rejects_bad_arguments():
         generate("uniform", 3, corridor_width=5.0)  # parameter from another topology
 
 
+@pytest.mark.parametrize("n, n_decoys, message", [
+    (True, 0, "n must be an integer, got True"),
+    (3.0, 0, "n must be an integer, got 3.0"),
+    (3, 1.0, "n_decoys must be an integer, got 1.0"),
+    (3, False, "n_decoys must be an integer, got False"),
+])
+def test_generate_refuses_bools_and_non_integer_counts(n, n_decoys, message):
+    with pytest.raises(ValueError, match=message):
+        generate("uniform", n, n_decoys)
+
+
 def test_uniform_stream_is_bit_equal_to_numpy():
     """The generator's own PCG64 against ``numpy.random.default_rng``: seeds of one to five 32-bit
     words, defaults and the ranges generate draws from."""

@@ -180,6 +180,14 @@ def test_stop_rejects_an_unknown_kind_or_a_negative_id():
         Stop("v", -1)
 
 
+@pytest.mark.parametrize("capacity", [2.5, 3.0, True, False, "3", None])
+def test_drone_capacity_must_be_an_integer(capacity):
+    """A capacity of 2.5 used to pass, and enumeration then walked the routes of capacity 3, which
+    validation refused for the same drone."""
+    with pytest.raises(ValueError, match=f"capacity must be an integer, got {capacity!r}"):
+        DroneSpec(capacity)
+
+
 def test_template_flatten_sorts_groups_by_default():
     template = RouteTemplate(((Stop("v", 2), Stop("v", 1)), (Stop("a", 1),)))
     assert template.flatten().tokens == "v1,v2,a1"

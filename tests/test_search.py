@@ -736,6 +736,28 @@ def test_sweep_equals_the_exhaustive_walk(n_max, d_max):
         assert min_avg_risk_sweep(*ranges) == exhaustive_sweep(*ranges), n
 
 
+@pytest.mark.parametrize("budget", [0.5, 1.0, True])
+def test_decoy_budgets_must_be_integers(budget):
+    """A budget of 0.5 used to recurse without end in the route counter (decoys left -0.5, -1.5, ...), and
+    True counted as 1."""
+    scenario = generate("uniform", 3, 1, seed=0)
+    with pytest.raises(ValueError, match=f"decoy budget must be an integer, got {budget!r}"):
+        list(enumerate_routes(scenario, DroneSpec(2), budget))
+    with pytest.raises(ValueError, match=f"decoy budget must be an integer, got {budget!r}"):
+        pareto_front(scenario, DroneSpec(2), decoy_budget=budget)
+
+
+@pytest.mark.parametrize("ranges, message", [
+    ((range(1, 3), [2], [0.5]), "decoy budget must be an integer, got 0.5"),
+    (([1, 2], [True], [0]), "capacity must be an integer, got True"),
+    (([1, 2.0], [1], [0]), "n must be an integer, got 2.0"),
+    (((n for n in (1, "2")), [1], [0]), "n must be an integer, got '2'"),
+])
+def test_sweep_ranges_must_hold_integers(ranges, message):
+    with pytest.raises(ValueError, match=message):
+        min_avg_risk_sweep(*ranges)
+
+
 def test_sweep_rejects_empty_or_bad_ranges():
     with pytest.raises(ValueError):
         min_avg_risk_sweep([], [1], [0])
